@@ -34,7 +34,6 @@ from .batch import (
     simple_envelope,
 )
 from .predictors import (
-    REFRESH_EVERY,
     OnlineRunResult,
     PredictorState,
     init,
@@ -83,7 +82,6 @@ __all__ = [
     "OnlineRunResult",
     "PredictorState",
     "PSEUDO_RANK_TOL",
-    "REFRESH_EVERY",
     "RandomizedPredictor",
     "RegretReport",
     "TransitionCheck",

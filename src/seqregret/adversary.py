@@ -31,6 +31,7 @@ from .sequences import (
 # per-task streams derived by SeedSequence.spawn.  Gamma draws (for the beta
 # prior) use numpy's standard rejection sampler.
 RNG_ALGORITHM = "PCG64"
+MAX_DEGENERATE_DRAWS = 1000  # consecutive underflowed beta draws before sample_theta gives up
 
 
 class AdversaryKind(Enum):
@@ -95,11 +96,12 @@ def sample_theta(beta_C: float, rng: np.random.Generator) -> float:
     """One beta(C, C) draw built from two gamma draws (theta = g1 / (g1 + g2)).
 
     Degenerate draws (0 or 1, possible only by floating-point underflow at
-    tiny C) are rejected and redrawn so the result is always in (0, 1).
+    tiny C) are rejected and redrawn so the result is always in (0, 1), up to
+    MAX_DEGENERATE_DRAWS in a row (at C <= 1e-10 all underflow); then ValueError.
     """
     if not beta_C > 0:
         raise ValueError("beta_C must be positive")
-    while True:
+    for _ in range(MAX_DEGENERATE_DRAWS):
         g1 = rng.gamma(beta_C)
         g2 = rng.gamma(beta_C)
         total = g1 + g2
@@ -107,6 +109,7 @@ def sample_theta(beta_C: float, rng: np.random.Generator) -> float:
             theta = g1 / total
             if 0.0 < theta < 1.0:
                 return float(theta)
+    raise ValueError(f"beta_C={beta_C!r} is too small: {MAX_DEGENERATE_DRAWS} draws in a row underflowed")
 
 
 def generate(spec: AdversarySpec, theta: float, rng: np.random.Generator) -> BoundedSequence:
@@ -274,8 +277,8 @@ def estimate_lower_bound(
     SeedSequence.spawn, so the table is reproducible bit-for-bit and the
     reduction is a plain array mean (order-independent).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2 (one trial has no standard error)")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     feature_spec = spec.matching_feature_spec(order_m)
@@ -292,7 +295,7 @@ def estimate_lower_bound(
             _, hindsight = batch_solve(feature_spec, seq, 0.0)
             gaps[i] = _bayes_loss(spec_n, seq) - hindsight
         mean = float(np.mean(gaps))
-        se = float(np.std(gaps, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        se = float(np.std(gaps, ddof=1) / math.sqrt(trials))
         rows.append(LowerBoundRow(n=int(n), mean_regret=mean, std_error=se, trials=trials))
     slope = float(np.polyfit(np.log([r.n for r in rows]), [r.mean_regret for r in rows], 1)[0]) if len(rows) > 1 else 0.0
     return LowerBoundTable(rows=tuple(rows), fitted_slope_vs_ln_n=slope)

@@ -34,7 +34,7 @@ from .adversary import (
     sample_theta,
 )
 from .batch import batch_solve, mixture_log_evidence, regret_report, RegretReport
-from .predictors import init, run_lms, run_online, run_rls, update
+from .predictors import _prefix_blocks, _vaw_solve, run_lms, run_online, run_rls
 from .randomized import (
     EXTENDED_CSV_COLUMNS,
     RandomizedPredictor,
@@ -49,7 +49,7 @@ from .randomized import (
 from .sequences import (
     BoundedSequence,
     FeatureSpec,
-    features,
+    feature_matrix,
     linear_lag,
     monomial_features,
     univariate_poly,
@@ -157,6 +157,16 @@ def build_sequence(ns: argparse.Namespace) -> BoundedSequence:
     raise InputFileError(f"unknown family {ns.family!r}")
 
 
+def checked_sequence(ns: argparse.Namespace) -> BoundedSequence:
+    """The command's sequence, refused up front when the certificate scale A^2 n / delta overflows."""
+    seq = build_sequence(ns)
+    if not (ns.delta > 0 and math.isfinite(ns.delta)):
+        raise ValueError(f"delta must be positive and finite, got {ns.delta!r}")
+    if not math.isfinite(seq.bound_A * seq.bound_A * len(seq) / ns.delta):
+        raise ValueError(f"A^2 * n / delta overflows (A={seq.bound_A!r}, n={len(seq)}, delta={ns.delta!r})")
+    return seq
+
+
 def default_monomials(order_m: int) -> list[dict[int, int]]:
     """Chained products x[t-1]*...*x[t-i] for i = 1..m (degrees 1..m)."""
     return [{lag: 1 for lag in range(1, i + 1)} for i in range(1, order_m + 1)]
@@ -194,35 +204,24 @@ def bound_trace(spec: FeatureSpec, seq: BoundedSequence, delta: float) -> tuple[
 
     Returns (cumulative damped loss at each t, penalized hindsight objective
     at prefix t plus A^2 * sum_{s<=t} ln(1 + leverage_s)); the second majorizes
-    the first at every prefix under the certified convention.
+    the first at every prefix under the certified convention.  The objective
+    at prefix t is sum x^2 - r_t^T (R_t + delta I)^{-1} r_t after step t.
     """
-    n = len(seq)
-    A = seq.bound_A
-    state = init(spec.order_m, delta)
-    cum_damped = np.empty(n)
-    certificate = np.empty(n)
-    damped_total = 0.0
-    log_det = 0.0
-    sum_sq = 0.0
-    for t in range(1, n + 1):
-        f = features(spec, seq, t)
-        cache_f = state.inv_cache @ f
-        raw = float(state.cross_r @ cache_f)
-        leverage = float(f @ cache_f)
-        x_t = seq.values[t - 1]
-        damped_total += (x_t - raw / (1.0 + leverage)) ** 2
-        log_det += math.log1p(leverage)
-        sum_sq += x_t * x_t
-        state = update(state, f, x_t)
-        objective = sum_sq - float(state.cross_r @ np.linalg.solve(
-            state.gram_R + delta * np.eye(spec.order_m), state.cross_r))
-        cum_damped[t - 1] = damped_total
-        certificate[t - 1] = objective + A * A * log_det
-    return cum_damped, certificate
+    x = seq.values
+    F = feature_matrix(spec, seq)
+    damped_sq, log_leverage, fitted = np.empty((3, len(seq)))
+    for steps, shifted, crosses in _prefix_blocks(F, x, float(delta)):
+        # one extra zero-feature item puts the after-last-step statistics in the same solve
+        raw, leverage, quad = _vaw_solve(shifted, crosses, np.concatenate([F[steps], np.zeros((1, spec.order_m))]))
+        damped_sq[steps] = (x[steps] - raw[:-1] / (1.0 + leverage[:-1])) ** 2
+        log_leverage[steps] = np.log1p(leverage[:-1])
+        fitted[steps] = quad[1:]
+    objective = np.cumsum(x * x) - fitted
+    return np.cumsum(damped_sq), objective + seq.bound_A ** 2 * np.cumsum(log_leverage)
 
 
 def cmd_regret(ns: argparse.Namespace) -> int:
-    seq = build_sequence(ns)
+    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
     run = run_online(spec, seq, ns.delta, clip=ns.clip)
     report = regret_report(spec, seq, ns.delta, run)
@@ -301,7 +300,7 @@ COMPARE_COLUMNS = ("algo", "n", "m", "class", "delta", "loss", "batch_raw", "reg
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    seq = build_sequence(ns)
+    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
     n = len(seq)
     checkpoints = sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
@@ -312,33 +311,26 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         np.all((seq.values == seq.bound_A) | (seq.values == -seq.bound_A))
     )
 
+    # Online predictions depend only on the prefix (engine blocks start at fixed
+    # offsets), so one full run gives each checkpoint's loss bitwise as a rerun.
+    def at_checkpoints(per_step_losses: np.ndarray) -> list[float]:
+        return [float(np.sum(per_step_losses[:nc])) for nc in checkpoints]
+
+    losses = {
+        "universal": at_checkpoints(run_online(spec, seq, ns.delta, clip=ns.clip).per_step_losses),
+        "lms": at_checkpoints(run_lms(spec, seq, mu).per_step_losses),
+        "rls": at_checkpoints(run_rls(spec, seq, ns.delta, forgetting=ns.forgetting).per_step_losses),
+    }
+    if two_valued:
+        losses["bayes"] = at_checkpoints((seq.values - bayes_prediction_trace(seq.values, ns.C, ns.k)) ** 2)
+
     lines = [",".join(COMPARE_COLUMNS)]
-    for nc in checkpoints:
-        prefix = seq.prefix(nc)
-        _, batch_raw = batch_solve(spec, prefix, 0.0)
-        rows = [
-            ("universal", run_online(spec, prefix, ns.delta, clip=ns.clip).cumulative_loss),
-            ("lms", run_lms(spec, prefix, mu).cumulative_loss),
-            ("rls", run_rls(spec, prefix, ns.delta, forgetting=ns.forgetting).cumulative_loss),
-        ]
-        if two_valued:
-            preds = bayes_prediction_trace(prefix.values, ns.C, ns.k)
-            rows.append(("bayes", float(np.sum((prefix.values - preds) ** 2))))
-        for algo, loss in rows:
-            lines.append(
-                ",".join(
-                    [
-                        algo,
-                        str(nc),
-                        str(spec.order_m),
-                        spec.label,
-                        repr(float(ns.delta)),
-                        repr(float(loss)),
-                        repr(float(batch_raw)),
-                        repr(float(loss - batch_raw)),
-                    ]
-                )
-            )
+    for i, nc in enumerate(checkpoints):
+        _, batch_raw = batch_solve(spec, seq.prefix(nc), 0.0)
+        for algo, totals in losses.items():
+            fields = [algo, str(nc), str(spec.order_m), spec.label, repr(float(ns.delta)), repr(totals[i]),
+                      repr(float(batch_raw)), repr(float(totals[i] - batch_raw))]
+            lines.append(",".join(fields))
     write_text(ns.out, "\n".join(lines) + "\n")
     return 0
 
@@ -349,8 +341,6 @@ def evidence_quadrature(spec: FeatureSpec, seq: BoundedSequence, h: float, sigma
     Deliberately independent of the algebraic path: integrates the weight
     variable over +-12 posterior widths with log-sum-exp shifting.
     """
-    from .sequences import feature_matrix
-
     F = feature_matrix(spec, seq)[:, 0]
     x = seq.values
     R = float(F @ F)
@@ -371,7 +361,7 @@ def evidence_quadrature(spec: FeatureSpec, seq: BoundedSequence, h: float, sigma
 
 
 def cmd_identity(ns: argparse.Namespace) -> int:
-    seq = build_sequence(ns)
+    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
     failures: list[str] = []
 
@@ -552,10 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         ns.seed = 0
     try:
         return ns.func(ns)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputFileError, ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,17 @@
 """Online ridge prediction on feature vectors, plus LMS / forgetting-RLS baselines.
 
-The predictor keeps the running Gram matrix R = sum f f^T and cross vector
-r = sum x*f and predicts r^T (R + delta*I)^{-1} f, maintaining the inverse
-incrementally by a rank-1 identity with a periodic dense refresh.
+The ridge predictor keeps R = sum f f^T and r = sum x*f over the steps seen so
+far; one solve of (R + delta I) against [r, f] gives the plain prediction
+r^T (R + dI)^{-1} f (what `predict` returns) and the leverage f^T (R + dI)^{-1} f.
+The leverage-damped prediction plain / (1 + leverage) is the Vovk-Azoury-Warmuth
+forecast r^T (R + f f^T + dI)^{-1} f, which the regret certificate in
+`batch.RegretReport` provably covers; the plain trace can overshoot it on short
+sign-flip bursts (see `batch.bound_convention_audit`).
 
-Each run records two prediction traces:
-
-* the plain prediction  r^T (R + dI)^{-1} f  (what `predict` returns), and
-* the leverage-damped prediction  plain / (1 + f^T (R + dI)^{-1} f), which is
-  what the regret certificate in `batch.RegretReport` provably covers.  The
-  plain trace can overshoot that certificate on short sign-flip bursts; see
-  `batch.bound_convention_audit` for the frozen counterexample.
+Every ridge path runs on one blocked engine: `_prefix_blocks` builds BLOCK_STEPS
+steps of statistics at a time by cumulative sums and `_vaw_solve` solves them in
+one batched call, in O(BLOCK_STEPS * m^2) memory.  `run_online(verify_dense=True)`
+audits the engine against an independent Cholesky re-solve.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 
 from .sequences import BoundedSequence, FeatureSpec, feature_matrix
 
-# Dense re-factorization cadence for the incrementally maintained inverse.
-REFRESH_EVERY = 512
+# Steps per engine block.  Blocks start at multiples of this whatever the run
+# length, so a prefix run reproduces the leading steps of a longer run bitwise.
+BLOCK_STEPS = 256
 
 
 @dataclass
@@ -37,35 +39,24 @@ class PredictorState:
     cross_r: np.ndarray
     delta: float
     steps_n: int
-    inv_cache: np.ndarray
 
     @property
     def order_m(self) -> int:
         return self.cross_r.shape[0]
 
-
-def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via its Cholesky factor."""
-    low = np.linalg.cholesky(matrix)
-    low_inv = np.linalg.solve(low, np.eye(matrix.shape[0]))
-    inv = low_inv.T @ low_inv
-    return (inv + inv.T) / 2.0
+    @property
+    def inv_cache(self) -> np.ndarray:
+        """(R + delta I)^{-1}, derived from the statistics on each read."""
+        return np.linalg.inv(self.gram_R + self.delta * np.eye(self.order_m))
 
 
 def init(m: int, delta: float) -> PredictorState:
-    """Fresh state: zero statistics, inverse cache = I/delta."""
+    """Fresh state: zero statistics."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    delta = float(delta)
-    return PredictorState(
-        gram_R=np.zeros((m, m)),
-        cross_r=np.zeros(m),
-        delta=delta,
-        steps_n=0,
-        inv_cache=np.eye(m) / delta,
-    )
+    return PredictorState(gram_R=np.zeros((m, m)), cross_r=np.zeros(m), delta=float(delta), steps_n=0)
 
 
 def _as_feature(state: PredictorState, f) -> np.ndarray:
@@ -75,35 +66,72 @@ def _as_feature(state: PredictorState, f) -> np.ndarray:
     return vec
 
 
+def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float):
+    """Yield (steps, shifted, crosses) per block of BLOCK_STEPS steps from zero statistics.
+
+    Row i holds (R + delta I, r) before the block's step i, the last row after
+    its final step.  Sums add one step at a time from the previous block's last
+    row, so each row equals the `update` chain bitwise.  The next block
+    overwrites `shifted`.
+    """
+    n, m = F.shape
+    buffer = np.empty((min(n, BLOCK_STEPS) + 1, m, m))
+    gram, cross = np.zeros((m, m)), np.zeros(m)
+    shift = delta * np.eye(m)
+    for lo in range(0, n, BLOCK_STEPS):
+        steps = slice(lo, min(n, lo + BLOCK_STEPS))
+        f = F[steps]
+        grams = buffer[: f.shape[0] + 1]
+        grams[0] = gram
+        np.multiply(f[:, :, None], f[:, None, :], out=grams[1:])
+        np.cumsum(grams, axis=0, out=grams)
+        crosses = np.cumsum(np.concatenate([cross[None], x[steps, None] * f]), axis=0)
+        gram, cross = grams[-1].copy(), crosses[-1]
+        grams += shift
+        yield steps, grams, crosses
+
+
+def _vaw_solve(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray):
+    """Plain prediction r.g, leverage f.g and quadratic form r.a per stacked step.
+
+    (a, g) solve (R + dI) [a, g] = [r, f] per item of `shifted` (b, m, m) = R + dI,
+    `crosses` (b, m) and `F` (b, m).  Items are solved independently, so a batch
+    of one reproduces any row of a larger batch bitwise.
+    """
+    sol = np.linalg.solve(shifted, np.stack([crosses, F], axis=-1))
+    return np.sum(crosses * sol[..., 1], 1), np.sum(F * sol[..., 1], 1), np.sum(crosses * sol[..., 0], 1)
+
+
+def _cholesky_gap(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray, raw: np.ndarray) -> float:
+    """Worst relative gap between `raw` and a re-solve independent of the engine's LU solve:
+    R + dI = L L^T per step, then forward and back substitution for a = (R + dI)^{-1} r."""
+    low = np.linalg.cholesky(shifted)
+    a = np.empty_like(crosses)
+    for i in range(F.shape[1]):  # L y = r, y kept in a
+        a[:, i] = (crosses[:, i] - np.sum(low[:, i, :i] * a[:, :i], axis=1)) / low[:, i, i]
+    for i in reversed(range(F.shape[1])):  # L^T a = y
+        a[:, i] = (a[:, i] - np.sum(low[:, i + 1:, i] * a[:, i + 1:], axis=1)) / low[:, i, i]
+    direct = np.sum(a * F, axis=1)
+    return float(np.max(np.abs(raw - direct) / np.maximum(1.0, np.maximum(np.abs(raw), np.abs(direct)))))
+
+
 def predict(state: PredictorState, f) -> float:
     """Plain online prediction r^T (R + delta I)^{-1} f; 0 on empty statistics."""
     vec = _as_feature(state, f)
-    # associate as r @ (cache @ f) so a run's inlined loop reproduces this bitwise
-    return float(state.cross_r @ (state.inv_cache @ vec))
+    shifted = state.gram_R + state.delta * np.eye(state.order_m)
+    raw, _, _ = _vaw_solve(shifted[None], state.cross_r[None], vec[None])
+    return float(raw[0])
 
 
 def update(state: PredictorState, f, x: float) -> PredictorState:
-    """Successor state after observing (f, x): statistics and inverse advance.
-
-    The inverse cache moves by the rank-1 identity
-    (M + f f^T)^{-1} = M^{-1} - (M^{-1} f)(M^{-1} f)^T / (1 + f^T M^{-1} f)
-    and is rebuilt from a dense symmetric factorization every
-    `REFRESH_EVERY` updates to cap drift.
-    """
+    """Successor state after observing (f, x): R += f f^T, r += x f, n += 1."""
     vec = _as_feature(state, f)
-    gram = state.gram_R + np.outer(vec, vec)
-    cross = state.cross_r + float(x) * vec
-    steps = state.steps_n + 1
-
-    cache_f = state.inv_cache @ vec
-    denom = 1.0 + float(vec @ cache_f)
-    if not denom > 0.0:
-        raise FloatingPointError(f"rank-1 update denominator {denom} <= 0; state is corrupted")
-    inv = state.inv_cache - np.outer(cache_f, cache_f) / denom
-    inv = (inv + inv.T) / 2.0
-    if steps % REFRESH_EVERY == 0:
-        inv = _symmetric_inverse(gram + state.delta * np.eye(state.order_m))
-    return PredictorState(gram_R=gram, cross_r=cross, delta=state.delta, steps_n=steps, inv_cache=inv)
+    return PredictorState(
+        gram_R=state.gram_R + np.outer(vec, vec),
+        cross_r=state.cross_r + float(x) * vec,
+        delta=state.delta,
+        steps_n=state.steps_n + 1,
+    )
 
 
 @dataclass
@@ -114,8 +142,8 @@ class OnlineRunResult:
     online predictions.  For ridge runs, `damped_predictions` / `damped_loss`
     hold the leverage-damped trace that the determinant certificate covers
     (None for the LMS / forgetting-RLS baselines).  `max_dense_gap` is the
-    worst per-step deviation between the incrementally maintained prediction
-    and a fresh dense solve, when that audit was requested.
+    worst per-step relative gap between the engine's prediction and the
+    independent Cholesky re-solve, when that audit was requested.
     """
 
     predictions: np.ndarray
@@ -135,40 +163,25 @@ def run_online(
 ) -> OnlineRunResult:
     """Run the online ridge predictor over the whole sequence.
 
-    At each step t: form the feature vector, predict (optionally clamping the
-    plain prediction to [-A, A]), score the squared error against x[t], then
-    fold (f, x[t]) into the statistics.  `verify_dense=True` additionally
-    re-solves (R + delta I) a = r densely at every step and records the worst
-    relative gap against the incrementally maintained prediction.
+    Step t predicts from the statistics of steps 1..t-1 (optionally clamping
+    the plain prediction to [-A, A]) and is scored against x[t].
+    `verify_dense=True` re-solves every step's system by the independent
+    Cholesky path and records the worst relative gap.
     """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
+    delta = init(spec.order_m, delta).delta  # validates delta
     F = feature_matrix(spec, seq)
     x = seq.values
-    A = seq.bound_A
-    n = len(seq)
-    state = init(spec.order_m, delta)
-
-    preds = np.empty(n)
-    damped = np.empty(n)
-    losses = np.empty(n)
+    raw, damped = np.empty(len(seq)), np.empty(len(seq))
     worst_gap = 0.0
-    eye = np.eye(spec.order_m)
-    for t in range(n):
-        f = F[t]
-        cache_f = state.inv_cache @ f
-        raw = float(state.cross_r @ cache_f)
-        leverage = float(f @ cache_f)
-        pred = min(A, max(-A, raw)) if clip else raw
+    for steps, shifted, crosses in _prefix_blocks(F, x, delta):
+        raw[steps], leverage, _ = _vaw_solve(shifted[:-1], crosses[:-1], F[steps])
+        damped[steps] = raw[steps] / (1.0 + leverage)
         if verify_dense:
-            direct = float(np.linalg.solve(state.gram_R + state.delta * eye, state.cross_r) @ f)
-            gap = abs(raw - direct) / max(1.0, abs(raw), abs(direct))
-            worst_gap = max(worst_gap, gap)
-        preds[t] = pred
-        damped[t] = raw / (1.0 + leverage)
-        losses[t] = (x[t] - pred) ** 2
-        state = update(state, f, x[t])
-
+            worst_gap = max(worst_gap, _cholesky_gap(shifted[:-1], crosses[:-1], F[steps], raw[steps]))
+    preds = np.clip(raw, -seq.bound_A, seq.bound_A, out=raw) if clip else raw
+    losses = (x - preds) ** 2
     return OnlineRunResult(
         predictions=preds,
         cumulative_loss=float(np.sum(losses)),

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .predictors import init, predict, update
-from .sequences import BoundedSequence, FeatureSpec, features
+from .predictors import _prefix_blocks, _vaw_solve
+from .sequences import BoundedSequence, FeatureSpec, feature_matrix
 
 # A constituent maps the observed history x_1..x_{t-1} (1d array) to a real
 # prediction of x_t.  A probability rule maps the same history to a vector of
@@ -151,30 +151,27 @@ def ridge_predictor_fn(
     damped: bool = False,
     clip_to: float | None = None,
 ) -> PredictorFn:
-    """A pure history -> prediction wrapper around the online ridge recursion.
+    """A pure history -> prediction wrapper around the online ridge engine.
 
-    Replays the recursion from scratch on each call (cost grows with the
-    history length), which keeps the handle a genuine function of the observed
+    Each call folds the whole history into the engine's statistics (cost grows
+    with its length), so the handle is a genuine function of the observed
     prefix as the mixture contract requires.  `damped` selects the
     leverage-damped output (the certificate-carrying form); `clip_to` clamps
     the output into [-clip_to, +clip_to].
     """
 
     def predict_next(history: np.ndarray) -> float:
-        h = np.asarray(history, dtype=float)
-        bound = float(np.max(np.abs(h))) if h.size else 0.0
-        seq = BoundedSequence(h, bound)
-        state = init(spec.order_m, delta)
-        for t in range(1, h.size + 1):
-            state = update(state, features(spec, seq, t), h[t - 1])
-        f_next = features(spec, seq, h.size + 1)
-        raw = predict(state, f_next)
-        if damped:
-            leverage = float(f_next @ (state.inv_cache @ f_next))
-            raw = raw / (1.0 + leverage)
+        # the appended sample is never read: the features of the step to
+        # predict use earlier samples, and its prediction the earlier steps
+        h = np.append(np.asarray(history, dtype=float), 0.0)
+        F = feature_matrix(spec, BoundedSequence(h, float(np.max(np.abs(h)))))
+        for _, shifted, crosses in _prefix_blocks(F, h, float(delta)):
+            pass  # only the last block's statistics are needed
+        raw, leverage, _ = _vaw_solve(shifted[-2:-1], crosses[-2:-1], F[-1:])
+        out = float(raw[0] / (1.0 + leverage[0])) if damped else float(raw[0])
         if clip_to is not None:
-            raw = min(max(raw, -clip_to), clip_to)
-        return raw
+            out = min(max(out, -clip_to), clip_to)
+        return out
 
     return predict_next
 

@@ -175,7 +175,7 @@ def test_criterion_3_recursive_matches_dense(bound_suite):
     report_line(
         3,
         ok,
-        f"rank-1 recursion vs per-step dense solve: worst relative gap "
+        f"blocked engine vs independent per-step Cholesky audit: worst relative gap "
         f"{worst:.3e} <= 1e-8 over {len(runs)} runs",
     )
     assert worst <= 1e-8

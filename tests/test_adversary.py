@@ -1,6 +1,7 @@
 """Sign-flip sequence law, the conditional-mean predictor, and the regret floor."""
 
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -122,6 +123,14 @@ def test_theta_prior_statistics():
 def test_theta_prior_rejects_bad_concentration():
     with pytest.raises(ValueError):
         sample_theta(0.0, np.random.default_rng(0))
+
+
+def test_theta_prior_gives_up_when_every_draw_underflows():
+    # at C = 1e-300 every gamma draw is 0; the rejection loop must end
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too small"):
+        sample_theta(1e-300, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- generate
@@ -314,6 +323,13 @@ def test_floor_estimate_validation():
         estimate_lower_bound(lag_spec(), [2, 4], trials=0)
     with pytest.raises(ValueError):
         estimate_lower_bound(lag_spec(), [4, 2], trials=5)
+
+
+def test_floor_estimate_needs_two_trials_for_a_standard_error():
+    # one trial would report std_error = 0 and make the -3 SE check vacuous
+    with pytest.raises(ValueError, match=">= 2"):
+        estimate_lower_bound(lag_spec(), [2, 4], trials=1)
+    assert estimate_lower_bound(lag_spec(seed=3), [4, 8], trials=2).rows[1].trials == 2
 
 
 def test_floor_positive_for_monomial_adversary():

@@ -1,11 +1,15 @@
 """Command-line behavior: parsing, exit codes, files, and deterministic outputs."""
 
+import time
+
 import numpy as np
 import pytest
 
+from seqregret import BoundedSequence, linear_lag, monomial_features, regret_report, run_online
 from seqregret.batch import RegretReport
 from seqregret.cli import (
     InputFileError,
+    bound_trace,
     default_monomials,
     default_n_grid,
     main,
@@ -196,6 +200,58 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("wibble=1\n")
     assert run_cli("regret", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize(
+    "spec", [linear_lag(1, 3), monomial_features([{1: 1}, {1: 1, 2: 1}])], ids=["linear", "monomial"]
+)
+def test_bound_trace_ends_at_the_report_and_majorizes_every_prefix(spec):
+    rng = np.random.default_rng(4)
+    seq = BoundedSequence(np.clip(np.cumsum(rng.normal(0, 0.2, 600)), -1, 1), 1.0)
+    cum_damped, certificate = bound_trace(spec, seq, 0.5)
+    # oracle at the full horizon: the batch-side regret report
+    report = regret_report(spec, seq, 0.5, run_online(spec, seq, 0.5))
+    assert cum_damped[-1] == pytest.approx(report.bound_loss, rel=1e-10)
+    assert certificate[-1] == pytest.approx(report.batch_loss_ridge + report.det_bound, rel=1e-10)
+    # oracle at a prefix crossing a block boundary: the same report on that prefix
+    prefix = seq.prefix(300)
+    head = regret_report(spec, prefix, 0.5, run_online(spec, prefix, 0.5))
+    assert certificate[299] == pytest.approx(head.batch_loss_ridge + head.det_bound, rel=1e-10)
+    assert np.all(cum_damped <= certificate + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("regret", "--A", "1e160", "--n", "64"),
+        ("compare", "--A", "1e160", "--n", "64"),
+        ("regret", "--delta", "1e-300", "--m", "3"),
+        ("regret", "--delta", "1e-300", "--m", "3", "--class", "univar"),
+        ("identity", "--delta", "1e-300", "--m", "3", "--seed", "1", "--n", "16", "--trials", "4"),
+    ],
+)
+def test_extreme_scales_end_without_traceback(args, capsys):
+    code = run_cli(*args)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def test_overflowing_scale_is_refused_up_front(capsys):
+    assert run_cli("regret", "--A", "1e160", "--n", "64") == 2
+    assert "A^2 * n / delta overflows" in capsys.readouterr().err
+
+
+def test_lowerbound_tiny_concentration_exits_2_promptly(capsys):
+    start = time.perf_counter()
+    assert run_cli("lowerbound", "--C", "1e-300", "--seed", "1", "--n", "128", "--trials", "3") == 2
+    assert time.perf_counter() - start < 1.0
+    assert "too small" in capsys.readouterr().err
+
+
+def test_lowerbound_single_trial_exits_2(capsys):
+    assert run_cli("lowerbound", "--seed", "1", "--n", "128", "--trials", "1") == 2
+    assert ">= 2" in capsys.readouterr().err
 
 
 def test_unknown_family_exits_2():

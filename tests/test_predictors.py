@@ -1,4 +1,4 @@
-"""Online ridge recursion, its baselines, and the maintained-inverse contracts."""
+"""Online ridge engine, its baselines, and the batched-versus-stepwise contracts."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from seqregret import (
     BoundedSequence,
-    REFRESH_EVERY,
     init,
     linear_lag,
     predict,
@@ -17,6 +16,7 @@ from seqregret import (
     univariate_poly,
     update,
 )
+from seqregret.predictors import BLOCK_STEPS
 from seqregret.sequences import feature_matrix
 
 DYADIC = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
@@ -184,12 +184,50 @@ def test_run_online_equals_stepwise_composition(values):
     np.testing.assert_array_equal(run.predictions, np.array(preds))
 
 
-def test_run_online_dense_audit_small_gap_across_refresh():
+def test_run_online_dense_audit_small_gap_across_blocks():
     rng = np.random.default_rng(11)
-    values = np.clip(np.cumsum(rng.normal(0, 0.1, REFRESH_EVERY + 200)), -1, 1)
+    values = np.clip(np.cumsum(rng.normal(0, 0.1, 2 * BLOCK_STEPS + 200)), -1, 1)
     seq = BoundedSequence(values, 1.0)
     run = run_online(linear_lag(1, 4), seq, 1.0, verify_dense=True)
     assert run.max_dense_gap < 1e-10
+
+
+def walk_sequence(seed, n):
+    rng = np.random.default_rng(seed)
+    return BoundedSequence(np.clip(np.cumsum(rng.normal(0, 0.1, n)), -1, 1), 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_run_online_equals_stepwise_composition_across_blocks(m):
+    n = 4 * BLOCK_STEPS + 76
+    seq = walk_sequence(m, n)
+    spec = linear_lag(1, m)
+    F = feature_matrix(spec, seq)
+    state = init(m, 0.7)
+    preds = []
+    for t in range(n):
+        preds.append(predict(state, F[t]))
+        state = update(state, F[t], seq.values[t])
+    run = run_online(spec, seq, 0.7)
+    np.testing.assert_array_equal(run.predictions, np.array(preds))
+
+
+@pytest.mark.parametrize("spec", [linear_lag(1, 4), univariate_poly(3)], ids=["linear4", "univar3"])
+def test_run_online_matches_rank1_rls_across_blocks(spec):
+    seq = walk_sequence(17, 2 * BLOCK_STEPS + 100)
+    online = run_online(spec, seq, 0.5)
+    rls = run_rls(spec, seq, 0.5, forgetting=1.0)
+    np.testing.assert_allclose(online.predictions, rls.predictions, rtol=0, atol=1e-10)
+
+
+def test_prefix_runs_reproduce_the_leading_steps_bitwise():
+    seq = walk_sequence(5, 3 * BLOCK_STEPS)
+    spec = linear_lag(1, 3)
+    full = run_online(spec, seq, 1.0)
+    for nc in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 37):
+        prefix = run_online(spec, seq.prefix(nc), 1.0)
+        np.testing.assert_array_equal(prefix.per_step_losses, full.per_step_losses[:nc])
+        assert prefix.cumulative_loss == float(np.sum(full.per_step_losses[:nc]))
 
 
 def test_run_online_damped_trace_shrinks_predictions():
