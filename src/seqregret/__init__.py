@@ -66,7 +66,6 @@ from .sequences import (
     monomial_features,
     normalization_constant,
     univariate_poly,
-    with_normalization,
 )
 
 __version__ = "0.1.0"
@@ -120,5 +119,4 @@ __all__ = [
     "univariate_poly",
     "update",
     "variance_decomposition",
-    "with_normalization",
 ]

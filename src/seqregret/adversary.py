@@ -351,20 +351,21 @@ def transition_posterior_check(
 ) -> TransitionCheck:
     """Check generated chains against their advertised transition law.
 
-    Simulates `trials` lag-1 chains of length n (A = 1), either at a fixed
-    theta or with theta drawn from the beta(C, C) prior per trial, and
-    summarizes flip statistics; see :class:`TransitionCheck`.
+    Draws `trials` lag-1 chains of length n (A = 1) from :func:`generate`, one
+    chain per trial, either at a fixed theta or at a theta drawn from the
+    beta(C, C) prior per trial, and summarizes their flip statistics; see
+    :class:`TransitionCheck`.
     """
     if n < 2:
         raise ValueError("need n >= 2 for at least one transition")
     if trials < 2:
         raise ValueError("need trials >= 2")
+    spec = AdversarySpec(AdversaryKind.SIGN_FLIP_LAG, beta_C=beta_C, bound_A=1.0, horizon_n=n, seed=seed)
     rng = np.random.default_rng(seed)
-    if theta is not None:
-        thetas = np.full(trials, float(theta))
-    else:
-        thetas = np.array([sample_theta(beta_C, rng) for _ in range(trials)])
-    stays = rng.random((trials, n - 1)) < thetas[:, None]
+    stays = np.empty((trials, n - 1), dtype=bool)
+    for i in range(trials):
+        chain = generate(spec, sample_theta(beta_C, rng) if theta is None else float(theta), rng).values
+        stays[i] = chain[1:] == chain[:-1]
     flips_per_trial = (n - 1) - stays.sum(axis=1)
 
     flip_fraction = float(np.mean(flips_per_trial) / (n - 1))

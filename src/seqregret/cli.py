@@ -38,13 +38,11 @@ from .predictors import _prefix_blocks, _vaw_solve, run_lms, run_online, run_rls
 from .randomized import (
     EXTENDED_CSV_COLUMNS,
     RandomizedPredictor,
-    derandomize,
+    _probs_at,
     extended_csv_row,
+    mixture_account,
     ridge_predictor_fn,
-    run_predictor_fn,
-    run_randomized,
     static_rule,
-    variance_decomposition,
 )
 from .sequences import (
     BoundedSequence,
@@ -52,6 +50,7 @@ from .sequences import (
     feature_matrix,
     linear_lag,
     monomial_features,
+    normalization_constant,
     univariate_poly,
 )
 from .svgchart import line_chart
@@ -157,13 +156,24 @@ def build_sequence(ns: argparse.Namespace) -> BoundedSequence:
     raise InputFileError(f"unknown family {ns.family!r}")
 
 
-def checked_sequence(ns: argparse.Namespace) -> BoundedSequence:
-    """The command's sequence, refused up front when the certificate scale A^2 n / delta overflows."""
+def checked_sequence(ns: argparse.Namespace, spec: FeatureSpec) -> BoundedSequence:
+    """The command's sequence, refused up front when the certificate scale A^2 n / delta
+    or the feature scale M^2 n / delta (M the class's worst feature magnitude) overflows."""
     seq = build_sequence(ns)
     if not (ns.delta > 0 and math.isfinite(ns.delta)):
         raise ValueError(f"delta must be positive and finite, got {ns.delta!r}")
-    if not math.isfinite(seq.bound_A * seq.bound_A * len(seq) / ns.delta):
-        raise ValueError(f"A^2 * n / delta overflows (A={seq.bound_A!r}, n={len(seq)}, delta={ns.delta!r})")
+    n, A = len(seq), seq.bound_A
+    if not math.isfinite(A * A * n / ns.delta):
+        raise ValueError(f"A^2 * n / delta overflows (A={A!r}, n={n}, delta={ns.delta!r})")
+    try:
+        feature_scale = normalization_constant(spec, A) ** 2 * n / ns.delta if A > 0 else 0.0
+    except OverflowError:
+        feature_scale = math.inf
+    if not math.isfinite(feature_scale):
+        raise ValueError(
+            f"feature scale normalization_constant(spec, A)^2 * n / delta overflows "
+            f"(class={spec.label}, m={spec.order_m}, A={A!r}, n={n}, delta={ns.delta!r})"
+        )
     return seq
 
 
@@ -221,8 +231,8 @@ def bound_trace(spec: FeatureSpec, seq: BoundedSequence, delta: float) -> tuple[
 
 
 def cmd_regret(ns: argparse.Namespace) -> int:
-    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
+    seq = checked_sequence(ns, spec)
     run = run_online(spec, seq, ns.delta, clip=ns.clip)
     report = regret_report(spec, seq, ns.delta, run)
     lines = [",".join(RegretReport.CSV_COLUMNS), ",".join(report.csv_row())]
@@ -300,8 +310,8 @@ COMPARE_COLUMNS = ("algo", "n", "m", "class", "delta", "loss", "batch_raw", "reg
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
+    seq = checked_sequence(ns, spec)
     n = len(seq)
     checkpoints = sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
     # LMS step size: conservative normalization by the worst-case feature energy
@@ -335,11 +345,17 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     return 0
 
 
+QUADRATURE_POINTS = 20001
+QUADRATURE_CHUNK = 2 ** 14  # most residual elements held at once
+
+
 def evidence_quadrature(spec: FeatureSpec, seq: BoundedSequence, h: float, sigma2: float) -> float:
     """-2h ln of the scale-mixture evidence by brute trapezoid integration.
 
     Deliberately independent of the algebraic path: integrates the weight
-    variable over +-12 posterior widths with log-sum-exp shifting.
+    variable over +-12 posterior widths with log-sum-exp shifting.  Grid
+    points are evaluated in chunks of at most QUADRATURE_CHUNK residuals,
+    each residual's sum of squares as one dot product.
     """
     F = feature_matrix(spec, seq)[:, 0]
     x = seq.values
@@ -348,21 +364,59 @@ def evidence_quadrature(spec: FeatureSpec, seq: BoundedSequence, h: float, sigma
     delta_eff = h / sigma2
     center = r / (R + delta_eff)
     width = math.sqrt(h / (R + delta_eff))
-    grid = np.linspace(center - 12.0 * width, center + 12.0 * width, 20001)
+    grid = np.linspace(center - 12.0 * width, center + 12.0 * width, QUADRATURE_POINTS)
     log_vals = np.empty(grid.size)
-    for i, b in enumerate(grid):
-        resid = x - b * F
-        log_vals[i] = -0.5 * b * b / sigma2 - float(resid @ resid) / (2.0 * h)
+    rows = max(1, QUADRATURE_CHUNK // max(1, x.size))
+    for lo in range(0, grid.size, rows):
+        b = grid[lo:lo + rows]
+        resid = x[None] - b[:, None] * F[None]
+        sq = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
+        log_vals[lo:lo + rows] = -0.5 * b * b / sigma2 - sq / (2.0 * h)
     shift = float(np.max(log_vals))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     integral = trapezoid(np.exp(log_vals - shift), grid)
+    if not (integral > 0 and math.isfinite(integral)):
+        raise ValueError(
+            f"evidence quadrature failed: the weight grid around {center!r} (posterior width {width!r}) "
+            f"gives integral {float(integral)!r}; delta={delta_eff!r} is too small for it"
+        )
     log_evidence = shift + math.log(integral) - 0.5 * math.log(2.0 * math.pi * sigma2)
     return -2.0 * h * log_evidence
 
 
+IDENTITY_WEIGHTS = (0.5, 0.3, 0.2)
+
+
+def identity_mixture(
+    spec: FeatureSpec, seq: BoundedSequence, delta: float, seed: int
+) -> tuple[RandomizedPredictor, np.ndarray, np.ndarray]:
+    """identity's mixture of certified predictors and its (3, n) prediction and weight tables.
+
+    The constituents are the damped ridge predictor at delta, the same clipped
+    to [-A, A], and the damped predictor at 2 delta.  Their table rows come
+    from two whole-sequence engine runs, which equal the per-prefix
+    `mixture_tables(rp, seq)` bitwise: engine blocks start at fixed offsets and
+    every step's system is solved on its own.
+    """
+    constituents = (
+        ridge_predictor_fn(spec, delta, damped=True),
+        ridge_predictor_fn(spec, delta, damped=True, clip_to=seq.bound_A),
+        ridge_predictor_fn(spec, 2.0 * delta, damped=True),
+    )
+    rp = RandomizedPredictor(constituents, static_rule(IDENTITY_WEIGHTS), seed=seed)
+    damped = run_online(spec, seq, delta).damped_predictions
+    preds = np.stack([
+        damped,
+        np.clip(damped, -seq.bound_A, seq.bound_A),
+        run_online(spec, seq, 2.0 * delta).damped_predictions,
+    ])
+    probs = np.broadcast_to(_probs_at(rp, seq.values[:0])[:, None], preds.shape)
+    return rp, preds, probs
+
+
 def cmd_identity(ns: argparse.Namespace) -> int:
-    seq = checked_sequence(ns)
     spec = build_feature_spec(ns)
+    seq = checked_sequence(ns, spec)
     failures: list[str] = []
 
     # evidence identity on the scalar restriction of the chosen class
@@ -382,18 +436,20 @@ def cmd_identity(ns: argparse.Namespace) -> int:
         failures.append(f"evidence identity mismatch (rel gap {rel_gap:.3e})")
 
     # randomized mixture of certified predictors vs its derandomization
-    constituents = (
-        ridge_predictor_fn(spec, ns.delta, damped=True),
-        ridge_predictor_fn(spec, ns.delta, damped=True, clip_to=seq.bound_A),
-        ridge_predictor_fn(spec, 2.0 * ns.delta, damped=True),
-    )
-    rp = RandomizedPredictor(constituents, static_rule([0.5, 0.3, 0.2]), seed=ns.seed)
-    p_rand_mc, per_step = run_randomized(rp, seq, ns.trials)
-    p_rand_analytic = float(math.fsum(per_step))
-    bias_sq, variance_total = variance_decomposition(rp, seq)
-    derand_loss = run_predictor_fn(derandomize(rp), seq)
+    rp, preds, probs = identity_mixture(spec, seq, ns.delta, ns.seed)
+    # the table stands in for per-prefix calls: hold it to the history functions at a few steps
+    values = seq.values
+    for t in sorted({0, len(seq) // 2, len(seq) - 1}):
+        direct = [float(fn(values[:t])) for fn in rp.constituents]
+        if not np.array_equal(direct, preds[:, t]):
+            failures.append(f"engine prediction table differs from the constituents at step {t}")
+    account = mixture_account(values, preds, probs, ns.trials, rp.seed)
+    p_rand_mc = account.mc_mean
+    p_rand_analytic = float(math.fsum(account.per_step))
+    variance_total = account.variance
+    derand_loss = account.derandomized_loss
 
-    decomposition_gap = abs(bias_sq + variance_total - p_rand_analytic)
+    decomposition_gap = abs(account.bias_sq + variance_total - p_rand_analytic)
     identity_gap = abs(derand_loss - (p_rand_analytic - variance_total))
     scale = max(1.0, p_rand_analytic)
     print(

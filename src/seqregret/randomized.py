@@ -10,6 +10,16 @@ a fixed sequence decomposes per step as
 so replacing the random output by its mixture mean (derandomizing) removes
 exactly the variance term and can never lose.  The functions here compute the
 Monte-Carlo and analytic sides of that account.
+
+The account is read from two (K, n) tables, the constituents' predictions and
+the mixture weights at every step: `mixture_account` turns them into the
+Monte-Carlo totals, the per-step expected losses, the bias/variance split and
+the derandomized loss.  `mixture_tables` fills the tables by calling every
+constituent on every prefix, which costs O(n) calls of O(n) each for ridge
+constituents; a caller that knows its constituents can fill them in linear
+time instead (the `identity` command builds its ridge rows from whole-sequence
+`run_online` runs, which give the same numbers bitwise, and spot-checks them
+against the history functions).
 """
 
 from __future__ import annotations
@@ -87,19 +97,69 @@ def mixture_tables(rp: RandomizedPredictor, seq: BoundedSequence) -> tuple[np.nd
     return preds, probs
 
 
+@dataclass(frozen=True)
+class MixtureAccount:
+    """The loss account of a mixture on one sequence.
+
+    `trial_totals` holds the randomized cumulative loss of each Monte-Carlo
+    trial (None when no trials were run), `per_step` the exact expected loss
+    sum_k p_k (x - f_k)^2 of each step, `bias_sq` + `variance` the split of
+    its total into (x - mean)^2 and sum_k p_k (f_k - mean)^2, and
+    `derandomized_loss` the cumulative loss of the mixture-mean predictor.
+    """
+
+    trial_totals: np.ndarray | None
+    per_step: np.ndarray
+    bias_sq: float
+    variance: float
+    derandomized_loss: float
+
+    @property
+    def mc_mean(self) -> float:
+        return float(np.mean(self.trial_totals))
+
+
+def mixture_account(
+    values: np.ndarray,
+    preds: np.ndarray,
+    probs: np.ndarray,
+    trials: int | None = None,
+    seed: int = 0,
+) -> MixtureAccount:
+    """Account of the mixture with (K, n) tables `preds`, `probs` on `values`.
+
+    With `trials`, also runs that many independent randomized passes drawing
+    from one generator seeded by `seed`, one draw per trial and step.
+    """
+    k, n = preds.shape
+    totals = None
+    if trials is not None:
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        rng = np.random.default_rng(seed)
+        totals = np.zeros(trials)
+        for t in range(n):
+            idx = rng.choice(k, size=trials, p=probs[:, t])
+            totals += (values[t] - preds[idx, t]) ** 2
+    per_step = np.sum(probs * (values[None, :] - preds) ** 2, axis=0)
+    means = np.sum(probs * preds, axis=0)
+    variances = np.sum(probs * (preds - means[None, :]) ** 2, axis=0)
+    # the mixture mean as `derandomize` forms it, one dot product of contiguous
+    # rows per step, so its loss equals the history-function route bitwise
+    prob_rows, pred_rows = np.ascontiguousarray(probs.T), np.ascontiguousarray(preds.T)
+    derandomized = np.array([prob_rows[t] @ pred_rows[t] for t in range(n)])
+    return MixtureAccount(
+        trial_totals=totals,
+        per_step=per_step,
+        bias_sq=float(math.fsum((values - means) ** 2)),
+        variance=float(math.fsum(variances)),
+        derandomized_loss=float(math.fsum((values - derandomized) ** 2)),
+    )
+
+
 def mc_trial_totals(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -> np.ndarray:
     """Cumulative randomized loss of `trials` independent runs (seeded by rp.seed)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    preds, probs = mixture_tables(rp, seq)
-    values = seq.values
-    rng = np.random.default_rng(rp.seed)
-    k = preds.shape[0]
-    totals = np.zeros(trials)
-    for t in range(values.size):
-        idx = rng.choice(k, size=trials, p=probs[:, t])
-        totals += (values[t] - preds[idx, t]) ** 2
-    return totals
+    return mixture_account(seq.values, *mixture_tables(rp, seq), trials, rp.seed).trial_totals
 
 
 def run_randomized(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -> tuple[float, list[float]]:
@@ -109,10 +169,8 @@ def run_randomized(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -
     [sum_k p_k[t] * (x[t] - f_k[t])^2 for each step t]).  The sum of the second
     is the analytic expected loss the first estimates.
     """
-    totals = mc_trial_totals(rp, seq, trials)
-    preds, probs = mixture_tables(rp, seq)
-    per_step = np.sum(probs * (seq.values[None, :] - preds) ** 2, axis=0)
-    return float(np.mean(totals)), [float(v) for v in per_step]
+    account = mixture_account(seq.values, *mixture_tables(rp, seq), trials, rp.seed)
+    return account.mc_mean, [float(v) for v in account.per_step]
 
 
 def derandomize(rp: RandomizedPredictor) -> PredictorFn:
@@ -132,11 +190,8 @@ def variance_decomposition(rp: RandomizedPredictor, seq: BoundedSequence) -> tup
     Per step the expected loss splits as (x - mean)^2 + sum_k p_k (f_k - mean)^2;
     the two totals therefore sum to the analytic expected loss.
     """
-    preds, probs = mixture_tables(rp, seq)
-    means = np.sum(probs * preds, axis=0)
-    variances = np.sum(probs * (preds - means[None, :]) ** 2, axis=0)
-    bias_sq = (seq.values - means) ** 2
-    return float(math.fsum(bias_sq)), float(math.fsum(variances))
+    account = mixture_account(seq.values, *mixture_tables(rp, seq))
+    return account.bias_sq, account.variance
 
 
 def run_predictor_fn(fn: PredictorFn, seq: BoundedSequence) -> float:

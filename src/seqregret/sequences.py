@@ -9,7 +9,7 @@ every recursion downstream uniform from the very first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,15 +76,12 @@ class FeatureSpec:
                  (> 1 only for the linear-lag family).
     memory_a:    how far back features reach; derived, not user-supplied.
     monomials:   exponent patterns, only for the monomial family.
-    norm_M:      worst-case feature magnitude for a given amplitude bound;
-                 optional, filled in by :func:`with_normalization`.
     """
 
     class_kind: ClassKind
     order_m: int
     lookahead_k: int = 1
     monomials: tuple[Monomial, ...] = ()
-    norm_M: float | None = None
     memory_a: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
@@ -112,8 +109,6 @@ class FeatureSpec:
             memory = 1
         else:  # LINEAR_LAG
             memory = self.lookahead_k + self.order_m - 1
-        if self.norm_M is not None and not self.norm_M > 0:
-            raise ValueError("norm_M must be positive when given")
         object.__setattr__(self, "memory_a", memory)
 
     @property
@@ -142,11 +137,6 @@ def monomial_features(monomials) -> FeatureSpec:
         pairs = sorted(mono.items()) if isinstance(mono, dict) else sorted(tuple(p) for p in mono)
         normalized.append(tuple((int(lag), int(exp)) for lag, exp in pairs))
     return FeatureSpec(ClassKind.MONOMIALS, order_m=len(normalized), monomials=tuple(normalized))
-
-
-def with_normalization(spec: FeatureSpec, bound_A: float) -> FeatureSpec:
-    """Copy of spec with norm_M filled in for the given amplitude bound."""
-    return replace(spec, norm_M=normalization_constant(spec, bound_A))
 
 
 def monomial_degree(mono: Monomial) -> int:

@@ -1,11 +1,12 @@
 """Command-line behavior: parsing, exit codes, files, and deterministic outputs."""
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from seqregret import BoundedSequence, linear_lag, monomial_features, regret_report, run_online
+from seqregret import BoundedSequence, cli, feature_matrix, linear_lag, monomial_features, regret_report, run_online
 from seqregret.batch import RegretReport
 from seqregret.cli import (
     InputFileError,
@@ -242,6 +243,25 @@ def test_overflowing_scale_is_refused_up_front(capsys):
     assert "A^2 * n / delta overflows" in capsys.readouterr().err
 
 
+def test_polynomial_feature_overflow_is_refused_up_front(capfd):
+    # A^8 overflows: LAPACK used to print onto stdout before the SVD gave up
+    code = run_cli("regret", "--family", "sinusoid", "--A", "1e40", "--class", "univar", "--m", "8", "--n", "64")
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "normalization_constant(spec, A)^2 * n / delta overflows" in err
+    assert "Traceback" not in err
+
+
+def test_identity_tiny_delta_names_the_quadrature(capfd):
+    code = run_cli("identity", "--family", "walk", "--seed", "1", "--n", "64", "--delta", "1e-300")
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "evidence quadrature failed" in err and "too small" in err
+    assert "Traceback" not in err
+
+
 def test_lowerbound_tiny_concentration_exits_2_promptly(capsys):
     start = time.perf_counter()
     assert run_cli("lowerbound", "--C", "1e-300", "--seed", "1", "--n", "128", "--trials", "3") == 2
@@ -319,6 +339,53 @@ def test_identity_on_adversarial_data(tmp_path, capsys):
         "--trials", "40", "--class", "univar", "--out", str(out),
     )
     assert code == 0, capsys.readouterr().err
+
+
+def test_identity_spot_check_catches_a_wrong_table(tmp_path, monkeypatch, capsys):
+    real = cli.identity_mixture
+
+    def skewed(*args):
+        rp, preds, probs = real(*args)
+        preds = preds.copy()
+        preds[1, 32] += 1e-9
+        return rp, preds, probs
+
+    monkeypatch.setattr(cli, "identity_mixture", skewed)
+    code = run_cli("identity", "--family", "walk", "--seed", "2", "--n", "64", "--out", str(tmp_path / "id.csv"))
+    assert code == 1
+    assert "engine prediction table differs from the constituents at step 32" in capsys.readouterr().err
+
+
+def evidence_quadrature_loop(spec, seq, h, sigma2):
+    """The per-point trapezoid loop that `evidence_quadrature` evaluates in chunks."""
+    F = feature_matrix(spec, seq)[:, 0]
+    x = seq.values
+    R = float(F @ F)
+    r = float(x @ F)
+    center = r / (R + h / sigma2)
+    width = math.sqrt(h / (R + h / sigma2))
+    grid = np.linspace(center - 12.0 * width, center + 12.0 * width, 20001)
+    log_vals = np.empty(grid.size)
+    for i, b in enumerate(grid):
+        resid = x - b * F
+        log_vals[i] = -0.5 * b * b / sigma2 - float(resid @ resid) / (2.0 * h)
+    shift = float(np.max(log_vals))
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    integral = trapezoid(np.exp(log_vals - shift), grid)
+    return -2.0 * h * (shift + math.log(integral) - 0.5 * math.log(2.0 * math.pi * sigma2))
+
+
+@pytest.mark.parametrize("n", [1, 16, 128, 1000])
+def test_chunked_quadrature_matches_the_point_loop(n):
+    rng = np.random.default_rng(n)
+    seq = BoundedSequence(rng.uniform(-1, 1, n), 1.0)
+    spec = linear_lag(1, 1)
+    h, sigma2 = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
+    assert cli.QUADRATURE_POINTS == 20001
+    if n == 1000:  # the grid spans several chunks
+        assert cli.QUADRATURE_POINTS * n > 2 * cli.QUADRATURE_CHUNK
+    oracle = evidence_quadrature_loop(spec, seq, h, sigma2)
+    assert abs(cli.evidence_quadrature(spec, seq, h, sigma2) - oracle) <= 1e-12 * abs(oracle)
 
 
 # ---------------------------------------------------- deterministic reruns

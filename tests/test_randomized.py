@@ -13,6 +13,7 @@ from seqregret import (
     extended_csv_row,
     linear_lag,
     mc_trial_totals,
+    monomial_features,
     mixture_tables,
     regret_report,
     ridge_predictor_fn,
@@ -22,9 +23,11 @@ from seqregret import (
     simple_envelope,
     static_rule,
     uniform_rule,
+    univariate_poly,
     variance_decomposition,
 )
-from seqregret.randomized import EXTENDED_CSV_COLUMNS
+from seqregret.cli import identity_mixture
+from seqregret.randomized import EXTENDED_CSV_COLUMNS, mixture_account
 
 
 def constant(c):
@@ -225,6 +228,69 @@ def test_mixture_of_certified_predictors_inherits_the_envelope():
         w0, raw0 = batch_solve(spec, seq, 0.0)
         envelope = simple_envelope(seq.bound_A, spec.order_m, len(seq), delta)
         assert derand_loss <= raw0 + delta * float(w0 @ w0) + envelope + 1e-9
+
+
+# ------------------------------------------------ tables from engine runs
+
+TABLE_N = 600  # two engine block boundaries
+
+
+def walk_sequence(seed, n=TABLE_N):
+    rng = np.random.default_rng(seed)
+    return BoundedSequence(np.clip(np.cumsum(rng.normal(0.0, 0.25, n)), -1.0, 1.0), 1.0)
+
+
+def on_every_prefix(fn, seq):
+    return np.array([fn(seq.values[:t]) for t in range(len(seq))])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [linear_lag(1, 1), linear_lag(1, 3), univariate_poly(2), monomial_features([{1: 1}, {1: 1, 2: 1}])],
+    ids=["linear-m1", "linear-m3", "univar-m2", "monomial"],
+)
+def test_engine_rows_equal_the_history_functions_on_every_prefix(spec):
+    seq = walk_sequence(31)
+    delta, clip = 0.5, 0.2
+    run = run_online(spec, seq, delta)
+    clipped = np.clip(run.damped_predictions, -clip, clip)
+    assert np.any(clipped != run.damped_predictions)  # the clamp is active
+    np.testing.assert_array_equal(run.predictions, on_every_prefix(ridge_predictor_fn(spec, delta), seq))
+    np.testing.assert_array_equal(
+        run.damped_predictions, on_every_prefix(ridge_predictor_fn(spec, delta, damped=True), seq)
+    )
+    np.testing.assert_array_equal(
+        clipped, on_every_prefix(ridge_predictor_fn(spec, delta, damped=True, clip_to=clip), seq)
+    )
+
+
+def test_identity_tables_equal_the_per_prefix_tables():
+    seq = walk_sequence(32)
+    rp, preds, probs = identity_mixture(linear_lag(1, 3), seq, 0.5, 9)
+    ref_preds, ref_probs = mixture_tables(rp, seq)
+    np.testing.assert_array_equal(preds, ref_preds)
+    np.testing.assert_array_equal(probs, ref_probs)
+
+
+def test_table_account_equals_the_history_function_route():
+    seq = walk_sequence(33)
+    rp, preds, probs = identity_mixture(univariate_poly(2), seq, 1.0, 4)
+    account = mixture_account(seq.values, preds, probs, trials=60, seed=rp.seed)
+    mc, per_step = run_randomized(rp, seq, trials=60)
+    assert account.mc_mean == mc
+    np.testing.assert_array_equal(account.per_step, per_step)
+    assert (account.bias_sq, account.variance) == variance_decomposition(rp, seq)
+    derand_loss = run_predictor_fn(derandomize(rp), seq)
+    assert abs(account.derandomized_loss - derand_loss) <= 1e-12 * max(1.0, derand_loss)
+
+
+def test_account_without_trials_skips_the_monte_carlo_pass():
+    seq = pm1_sequence(10, 6)
+    rp = RandomizedPredictor((constant(0.3), last_value), uniform_rule(2))
+    preds, probs = mixture_tables(rp, seq)
+    assert mixture_account(seq.values, preds, probs).trial_totals is None
+    with pytest.raises(ValueError):
+        mixture_account(seq.values, preds, probs, trials=0)
 
 
 # ----------------------------------------------------------- extended rows

@@ -17,7 +17,6 @@ from seqregret import (
     monomial_features,
     normalization_constant,
     univariate_poly,
-    with_normalization,
 )
 
 
@@ -185,12 +184,6 @@ def test_normalization_constant_examples():
 def test_normalization_requires_positive_bound():
     with pytest.raises(ValueError):
         normalization_constant(univariate_poly(1), 0.0)
-
-
-def test_with_normalization_fills_norm():
-    spec = with_normalization(univariate_poly(2), 2.0)
-    assert spec.norm_M == 4.0
-    assert univariate_poly(2).norm_M is None
 
 
 @pytest.mark.parametrize(
