@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="universal vs LMS vs RLS (vs Bayes on two-valued data)")
     add_common(p_compare, with_sequence=True)
     p_compare.add_argument("--mu", type=float, default=None, help="LMS step size (default: 0.5 / (m*max(A,1)^2))")
-    p_compare.add_argument("--forgetting", type=float, default=1.0, help="RLS forgetting factor in (0, 1]")
+    p_compare.add_argument("--forgetting", type=float, default=1.0,
+                           help="RLS forgetting factor in (0, 1]: discounts the ridge statistics and regularizer per step")
     p_compare.set_defaults(func=cmd_compare)
 
     p_identity = sub.add_parser("identity", help="evidence + randomization identity checks")
@@ -532,32 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Splice config-file entries in as flags ahead of the explicit ones.
-
-    The config key 'svg=true' style booleans become bare flags; everything
-    else becomes --key=value.  Explicit command-line flags come later in the
-    synthesized argv, so they override the file.
-    """
-    if "--config" not in " ".join(argv):
-        return argv
-    # find the config path without committing to full parsing yet
-    path = None
-    rest = list(argv)
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            rest = argv[:i] + argv[i + 2:]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            rest = argv[:i] + argv[i + 1:]
-            break
-    if path is None:
-        return argv
-    entries = read_config_file(path)
+def _with_config(argv: list[str], ns: argparse.Namespace) -> list[str]:
+    """`argv` with the entries of config file `ns.config` spliced in as flags ahead
+    of the explicit ones, which override them: 'svg=true' style booleans become
+    bare flags, everything else --key=value."""
     synthesized: list[str] = []
-    for key, value in entries.items():
+    for key, value in read_config_file(ns.config).items():
         if key in ("svg", "clip"):
             if value.lower() in ("1", "true", "yes", "on"):
                 synthesized.append(f"--{key}")
@@ -565,9 +546,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
                 raise InputFileError(f"config key {key!r}: expected a boolean, got {value!r}")
         else:
             synthesized.append(f"--{key}={value}")
-    if not rest:
-        raise InputFileError("config file cannot supply the subcommand itself")
-    return [rest[0], *synthesized, *rest[1:]]
+    at = argv.index(ns.command) + 1
+    return [*argv[:at], *synthesized, *argv[at:]]
 
 
 def _needs_seed(ns: argparse.Namespace) -> bool:
@@ -583,21 +563,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if _needs_seed(ns) and ns.seed is None:
-        print(f"error: {ns.command} is stochastic here; --seed is required", file=sys.stderr)
-        return 2
-    if ns.seed is None:
-        ns.seed = 0
-    try:
+        if ns.config is not None:
+            ns = parser.parse_args(_with_config(argv, ns))
+        if _needs_seed(ns) and ns.seed is None:
+            raise ValueError(f"{ns.command} is stochastic here; --seed is required")
+        if ns.seed is None:
+            ns.seed = 0
         return ns.func(ns)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except (InputFileError, ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,9 @@ sign-flip bursts (see `batch.bound_convention_audit`).
 
 Every ridge path runs on one blocked engine: `_prefix_blocks` builds BLOCK_STEPS
 steps of statistics at a time by cumulative sums and `_vaw_solve` solves them in
-one batched call, in O(BLOCK_STEPS * m^2) memory.  `run_online(verify_dense=True)`
+one batched call, in O(BLOCK_STEPS * m^2) memory; forgetting-factor RLS is the
+same engine with discounted statistics and regularizer.  A system singular in
+floating point raises ValueError (exit 2 in the CLI).  `run_online(verify_dense=True)`
 audits the engine against an independent Cholesky re-solve.
 """
 
@@ -66,26 +68,46 @@ def _as_feature(state: PredictorState, f) -> np.ndarray:
     return vec
 
 
-def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float):
-    """Yield (steps, shifted, crosses) per block of BLOCK_STEPS steps from zero statistics.
+def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float = 1.0):
+    """Yield (steps, shifted, crosses) per engine block from zero statistics.
 
-    Row i holds (R + delta I, r) before the block's step i, the last row after
-    its final step.  Sums add one step at a time from the previous block's last
-    row, so each row equals the `update` chain bitwise.  The next block
+    Row i holds (R + lambda^k delta I, r) before the block's step i (global step
+    k), R and r summing lambda^(k-1-s) f_s f_s^T and lambda^(k-1-s) x_s f_s over
+    s < k; the last row is after its final step.  At lambda = 1 sums add one
+    step at a time from the previous block's last row, so each row equals the
+    `update` chain bitwise.  Under forgetting the decaying regularizer rides in
+    the statistics, step j enters the sums weighted by lambda^-j <= e^300 and
+    row i >= 1 is rescaled by lambda^(i-1).  Block lengths depend on lambda
+    alone, so prefix runs reproduce the leading steps bitwise.  The next block
     overwrites `shifted`.
     """
     n, m = F.shape
-    buffer = np.empty((min(n, BLOCK_STEPS) + 1, m, m))
+    block = BLOCK_STEPS if forgetting == 1.0 else min(BLOCK_STEPS, 1 + int(300.0 / -np.log(forgetting)))
+    buffer = np.empty((min(n, block) + 1, m, m))
     gram, cross = np.zeros((m, m)), np.zeros(m)
     shift = delta * np.eye(m)
-    for lo in range(0, n, BLOCK_STEPS):
-        steps = slice(lo, min(n, lo + BLOCK_STEPS))
+    discounted = forgetting != 1.0
+    if discounted:
+        gram, shift = shift, 0.0
+        powers = forgetting ** np.arange(float(block))
+        weights = np.concatenate([[forgetting], 1.0 / powers])  # row 0 by lambda, step j by lambda^-j
+    for lo in range(0, n, block):
+        steps = slice(lo, min(n, lo + block))
         f = F[steps]
-        grams = buffer[: f.shape[0] + 1]
+        b = f.shape[0]
+        grams = buffer[: b + 1]
         grams[0] = gram
         np.multiply(f[:, :, None], f[:, None, :], out=grams[1:])
+        crosses = np.concatenate([cross[None], x[steps, None] * f])
+        if discounted:
+            grams *= weights[: b + 1, None, None]
+            crosses *= weights[: b + 1, None]
         np.cumsum(grams, axis=0, out=grams)
-        crosses = np.cumsum(np.concatenate([cross[None], x[steps, None] * f]), axis=0)
+        np.cumsum(crosses, axis=0, out=crosses)
+        if discounted:
+            grams[1:] *= powers[:b, None, None]
+            crosses[1:] *= powers[:b, None]
+            grams[0], crosses[0] = gram, cross
         gram, cross = grams[-1].copy(), crosses[-1]
         grams += shift
         yield steps, grams, crosses
@@ -96,9 +118,18 @@ def _vaw_solve(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray):
 
     (a, g) solve (R + dI) [a, g] = [r, f] per item of `shifted` (b, m, m) = R + dI,
     `crosses` (b, m) and `F` (b, m).  Items are solved independently, so a batch
-    of one reproduces any row of a larger batch bitwise.
+    of one reproduces any row of a larger batch bitwise.  A system singular in
+    floating point (a zero pivot, or an overflowing solution) raises ValueError.
     """
-    sol = np.linalg.solve(shifted, np.stack([crosses, F], axis=-1))
+    try:
+        sol = np.linalg.solve(shifted, np.stack([crosses, F], axis=-1))
+        if not np.isfinite(sol).all():
+            raise np.linalg.LinAlgError("solution overflows")
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "ridge system R + dI is singular in floating point: the regularizer d (delta, or "
+            "delta * forgetting^k under forgetting) is below the resolution of R at its scale"
+        ) from exc
     return np.sum(crosses * sol[..., 1], 1), np.sum(F * sol[..., 1], 1), np.sum(crosses * sol[..., 0], 1)
 
 
@@ -139,11 +170,11 @@ class OnlineRunResult:
     """Trace of one sequential run.
 
     `predictions` / `per_step_losses` / `cumulative_loss` describe the plain
-    online predictions.  For ridge runs, `damped_predictions` / `damped_loss`
+    online predictions.  For `run_online`, `damped_predictions` / `damped_loss`
     hold the leverage-damped trace that the determinant certificate covers
-    (None for the LMS / forgetting-RLS baselines).  `max_dense_gap` is the
-    worst per-step relative gap between the engine's prediction and the
-    independent Cholesky re-solve, when that audit was requested.
+    (None for the LMS and RLS baselines, which report plain predictions only).
+    `max_dense_gap` is the worst per-step relative gap between the engine's
+    prediction and the independent Cholesky re-solve, when that audit was requested.
     """
 
     predictions: np.ndarray
@@ -220,11 +251,11 @@ def run_rls(
     delta: float,
     forgetting: float = 1.0,
 ) -> OnlineRunResult:
-    """Exponentially weighted recursive least squares.
-
-    At forgetting factor 1.0 this is the same estimator as `run_online`
-    (asserted in tests); it is kept as an independently coded recursion with
-    the usual discounting of both statistics for forgetting < 1.
+    """Exponentially weighted recursive least squares: the ridge engine's plain
+    predictions with R, r and the regularizer delta discounted by `forgetting`
+    per step (at 1.0, `run_online`'s plain trace bitwise).  The regularizer
+    decays, so features rank-deficient over the forgetting window make the
+    system singular in floating point (ValueError).
     """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
@@ -234,20 +265,9 @@ def run_rls(
         raise ValueError("forgetting factor must be in (0, 1]")
     F = feature_matrix(spec, seq)
     x = seq.values
-    n = len(seq)
-    m = spec.order_m
-    P = np.eye(m) / float(delta)
-    r = np.zeros(m)
-    preds = np.empty(n)
-    losses = np.empty(n)
-    for t in range(n):
-        f = F[t]
-        pred = float(r @ P @ f)
-        preds[t] = pred
-        losses[t] = (x[t] - pred) ** 2
-        P = P / forgetting
-        Pf = P @ f
-        P = P - np.outer(Pf, Pf) / (1.0 + float(f @ Pf))
-        P = (P + P.T) / 2.0
-        r = forgetting * r + x[t] * f
+    preds = np.empty(len(seq))
+    with np.errstate(over="raise"):  # features near the float range overflow the discount weights
+        for steps, shifted, crosses in _prefix_blocks(F, x, float(delta), float(forgetting)):
+            preds[steps], _, _ = _vaw_solve(shifted[:-1], crosses[:-1], F[steps])
+    losses = (x - preds) ** 2
     return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)

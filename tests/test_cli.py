@@ -1,10 +1,14 @@
 """Command-line behavior: parsing, exit codes, files, and deterministic outputs."""
 
+import contextlib
+import io
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqregret import BoundedSequence, cli, feature_matrix, linear_lag, monomial_features, regret_report, run_online
 from seqregret.batch import RegretReport
@@ -177,6 +181,22 @@ def test_config_supplies_flags_and_explicit_flags_win(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split(",")[0] == "4"
 
 
+def test_config_flag_prefix_is_read_like_argparse(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=walk\nseed=3\nn=64\n")
+    full, prefix = tmp_path / "full.csv", tmp_path / "prefix.csv"
+    assert run_cli("regret", "--config", str(cfg), "--out", str(full)) == 0
+    assert run_cli("regret", "--conf", str(cfg), "--out", str(prefix)) == 0
+    assert read(full).splitlines()[1].split(",")[0] == "64"
+    assert read(prefix) == read(full)
+
+
+def test_out_path_naming_config_is_not_a_config(tmp_path):
+    out = tmp_path / "x--config.csv"
+    assert run_cli("regret", "--out", str(out)) == 0
+    assert read(out).splitlines()[1].split(",")[0] == "256"
+
+
 def test_config_boolean_svg(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=sinusoid\nn=16\nsvg=true\n")
@@ -253,6 +273,26 @@ def test_polynomial_feature_overflow_is_refused_up_front(capfd):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("regret", "--class", "univar", "--m", "8", "--A", "1e18"),
+        ("compare", "--family", "sinusoid", "--n", "1000", "--m", "4", "--forgetting", "0.5"),
+        ("compare", "--family", "adversarial", "--seed", "1", "--n", "1000", "--class", "univar", "--m", "3",
+         "--forgetting", "0.9"),
+        ("compare", "--family", "zero", "--n", "8000", "--forgetting", "0.9"),
+    ],
+)
+def test_singular_ridge_system_is_named(args, capfd):
+    code = run_cli(*args)
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "ridge system R + dI is singular in floating point" in err
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+
+
 def test_identity_tiny_delta_names_the_quadrature(capfd):
     code = run_cli("identity", "--family", "walk", "--seed", "1", "--n", "64", "--delta", "1e-300")
     out, err = capfd.readouterr()
@@ -289,20 +329,40 @@ def parse_csv(text):
 
 def test_compare_checkpoints_and_baselines(tmp_path):
     out = tmp_path / "cmp.csv"
-    assert run_cli("compare", "--family", "sinusoid", "--n", "32", "--out", str(out)) == 0
-    rows = parse_csv(read(out))
-    # sinusoid is not two-valued: three baselines at each of four checkpoints
-    assert sorted({r["algo"] for r in rows}) == ["lms", "rls", "universal"]
-    assert [int(r["n"]) for r in rows if r["algo"] == "universal"] == [4, 8, 16, 32]
-    for row in rows:
-        assert float(row["regret"]) == pytest.approx(
-            float(row["loss"]) - float(row["batch_raw"]), abs=1e-12
-        )
-    # plain RLS (forgetting 1) is the same recursion as the universal run
-    by_n = {int(r["n"]): r for r in rows if r["algo"] == "universal"}
-    for r in rows:
-        if r["algo"] == "rls":
-            assert float(r["loss"]) == pytest.approx(float(by_n[int(r["n"])]["loss"]), rel=1e-9)
+    for m in ("1", "3"):
+        assert run_cli("compare", "--family", "sinusoid", "--n", "32", "--m", m, "--out", str(out)) == 0
+        rows = parse_csv(read(out))
+        # sinusoid is not two-valued: three baselines at each of four checkpoints
+        assert sorted({r["algo"] for r in rows}) == ["lms", "rls", "universal"]
+        assert [int(r["n"]) for r in rows if r["algo"] == "universal"] == [4, 8, 16, 32]
+        for row in rows:
+            assert float(row["regret"]) == pytest.approx(
+                float(row["loss"]) - float(row["batch_raw"]), abs=1e-12
+            )
+        # plain RLS (forgetting 1) runs the same engine as the unclipped universal run
+        universal = [dict(r, algo="") for r in rows if r["algo"] == "universal"]
+        assert [dict(r, algo="") for r in rows if r["algo"] == "rls"] == universal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forgetting=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    family=st.sampled_from(["zero", "sinusoid", "walk", "adversarial"]),
+    klass=st.sampled_from(["univar", "monomial", "linear"]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 600),
+)
+def test_compare_under_any_forgetting_exits_cleanly_with_finite_rows(forgetting, family, klass, m, n):
+    args = ["compare", "--family", family, "--class", klass, "--m", str(m), "--n", str(n),
+            "--forgetting", repr(forgetting), "--seed", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*args)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for row in parse_csv(out.getvalue()):
+            assert math.isfinite(float(row["loss"])) and math.isfinite(float(row["regret"])), row
 
 
 def test_compare_includes_bayes_only_on_two_valued_data(tmp_path):

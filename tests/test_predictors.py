@@ -16,7 +16,7 @@ from seqregret import (
     univariate_poly,
     update,
 )
-from seqregret.predictors import BLOCK_STEPS
+from seqregret.predictors import BLOCK_STEPS, OnlineRunResult
 from seqregret.sequences import feature_matrix
 
 DYADIC = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
@@ -24,6 +24,35 @@ DYADIC = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
 
 def dyadic_sequences(min_size=1, max_size=20):
     return st.lists(st.sampled_from(DYADIC), min_size=min_size, max_size=max_size).map(np.array)
+
+
+def rank1_rls(spec, seq, delta, forgetting=1.0):
+    """Independent oracle: exponentially weighted RLS as a per-step Sherman-Morrison recursion."""
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if not 0.0 < forgetting <= 1.0:
+        raise ValueError("forgetting factor must be in (0, 1]")
+    F = feature_matrix(spec, seq)
+    x = seq.values
+    n = len(seq)
+    m = spec.order_m
+    P = np.eye(m) / float(delta)
+    r = np.zeros(m)
+    preds = np.empty(n)
+    losses = np.empty(n)
+    for t in range(n):
+        f = F[t]
+        pred = float(r @ P @ f)
+        preds[t] = pred
+        losses[t] = (x[t] - pred) ** 2
+        P = P / forgetting
+        Pf = P @ f
+        P = P - np.outer(Pf, Pf) / (1.0 + float(f @ Pf))
+        P = (P + P.T) / 2.0
+        r = forgetting * r + x[t] * f
+    return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)
 
 
 def dense_prediction(gram, cross, delta, f):
@@ -216,7 +245,7 @@ def test_run_online_equals_stepwise_composition_across_blocks(m):
 def test_run_online_matches_rank1_rls_across_blocks(spec):
     seq = walk_sequence(17, 2 * BLOCK_STEPS + 100)
     online = run_online(spec, seq, 0.5)
-    rls = run_rls(spec, seq, 0.5, forgetting=1.0)
+    rls = rank1_rls(spec, seq, 0.5, forgetting=1.0)
     np.testing.assert_allclose(online.predictions, rls.predictions, rtol=0, atol=1e-10)
 
 
@@ -315,3 +344,36 @@ def test_rls_rejects_bad_forgetting():
         run_rls(linear_lag(1, 1), seq, 1.0, forgetting=0.0)
     with pytest.raises(ValueError):
         run_rls(linear_lag(1, 1), seq, 1.0, forgetting=1.1)
+
+
+def uniform_sequence(seed, n):
+    return BoundedSequence(np.random.default_rng(seed).uniform(-1, 1, n), 1.0)
+
+
+# at forgetting 0.05 the weight 0.05^-256 of a full BLOCK_STEPS block would overflow
+@pytest.mark.parametrize(
+    "forgetting, m", [(lam, m) for lam in (1.0, 0.999, 0.99, 0.9, 0.5) for m in (1, 2, 4, 8)] + [(0.05, 1)]
+)
+def test_rls_engine_matches_rank1_oracle_across_blocks(forgetting, m):
+    seq = uniform_sequence(0, 3 * BLOCK_STEPS + 1)
+    spec = linear_lag(1, m)
+    engine = run_rls(spec, seq, 1.0, forgetting=forgetting)
+    oracle = rank1_rls(spec, seq, 1.0, forgetting=forgetting)
+    np.testing.assert_allclose(engine.predictions, oracle.predictions, rtol=1e-10, atol=1e-10)
+
+
+def test_rls_at_unit_forgetting_is_run_online_plain_trace_bitwise():
+    seq = walk_sequence(8, 2 * BLOCK_STEPS + 9)
+    for spec in (linear_lag(1, 3), univariate_poly(2)):
+        np.testing.assert_array_equal(run_rls(spec, seq, 0.7).predictions, run_online(spec, seq, 0.7).predictions)
+
+
+@pytest.mark.parametrize("forgetting", [0.9, 0.05])
+def test_rls_prefix_runs_under_forgetting_reproduce_the_leading_steps_bitwise(forgetting):
+    seq = uniform_sequence(2, 3 * BLOCK_STEPS)
+    spec = linear_lag(1, 2)
+    full = run_rls(spec, seq, 1.0, forgetting=forgetting)
+    # blocks span 256 steps at 0.9 and 101 at 0.05
+    for nc in (1, 100, 101, 102, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 37):
+        prefix = run_rls(spec, seq.prefix(nc), 1.0, forgetting=forgetting)
+        np.testing.assert_array_equal(prefix.per_step_losses, full.per_step_losses[:nc])
