@@ -34,7 +34,7 @@ from .adversary import (
     sample_theta,
 )
 from .batch import batch_solve, mixture_log_evidence, regret_report, RegretReport
-from .predictors import _prefix_blocks, _vaw_solve, run_lms, run_online, run_rls
+from .predictors import OnlineRunResult, run_lms, run_online, run_rls
 from .randomized import (
     EXTENDED_CSV_COLUMNS,
     RandomizedPredictor,
@@ -210,24 +210,19 @@ def svg_path_for(out: str | None) -> str:
 # ------------------------------------------------------------------ commands
 
 def bound_trace(spec: FeatureSpec, seq: BoundedSequence, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prefix certified loss and certificate value, for charting.
+    """Per-prefix certified loss and certificate value, for charting, from one `run_online` trace.
 
     Returns (cumulative damped loss at each t, penalized hindsight objective
     at prefix t plus A^2 * sum_{s<=t} ln(1 + leverage_s)); the second majorizes
     the first at every prefix under the certified convention.  The objective
-    at prefix t is sum x^2 - r_t^T (R_t + delta I)^{-1} r_t after step t.
+    grows at step t by e_t^2 / (1 + leverage_t), e_t = x_t - plain_t (the RLS
+    a-priori error identity): a sum of nonnegative terms, which cannot cancel.
     """
+    run = run_online(spec, seq, delta)
     x = seq.values
-    F = feature_matrix(spec, seq)
-    damped_sq, log_leverage, fitted = np.empty((3, len(seq)))
-    for steps, shifted, crosses in _prefix_blocks(F, x, float(delta)):
-        # one extra zero-feature item puts the after-last-step statistics in the same solve
-        raw, leverage, quad = _vaw_solve(shifted, crosses, np.concatenate([F[steps], np.zeros((1, spec.order_m))]))
-        damped_sq[steps] = (x[steps] - raw[:-1] / (1.0 + leverage[:-1])) ** 2
-        log_leverage[steps] = np.log1p(leverage[:-1])
-        fitted[steps] = quad[1:]
-    objective = np.cumsum(x * x) - fitted
-    return np.cumsum(damped_sq), objective + seq.bound_A ** 2 * np.cumsum(log_leverage)
+    objective = np.cumsum((x - run.predictions) ** 2 / (1.0 + run.leverage))
+    certificate = objective + seq.bound_A ** 2 * np.cumsum(np.log1p(run.leverage))
+    return np.cumsum((x - run.damped_predictions) ** 2), certificate
 
 
 def cmd_regret(ns: argparse.Namespace) -> int:
@@ -314,9 +309,9 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     seq = checked_sequence(ns, spec)
     n = len(seq)
     checkpoints = sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
-    # LMS step size: conservative normalization by the worst-case feature energy
-    feature_energy = spec.order_m * max(seq.bound_A, 1.0) ** 2
-    mu = ns.mu if ns.mu is not None else 0.5 / feature_energy
+    # LMS step size: normalized by the worst-case feature energy m M^2, so mu |f_t|^2 <= 0.5
+    feature_scale = normalization_constant(spec, seq.bound_A) if seq.bound_A > 0 else 0.0
+    mu = ns.mu if ns.mu is not None else 0.5 / (spec.order_m * max(feature_scale, 1.0) ** 2)
     two_valued = seq.bound_A > 0 and bool(
         np.all((seq.values == seq.bound_A) | (seq.values == -seq.bound_A))
     )
@@ -388,15 +383,15 @@ IDENTITY_WEIGHTS = (0.5, 0.3, 0.2)
 
 
 def identity_mixture(
-    spec: FeatureSpec, seq: BoundedSequence, delta: float, seed: int
+    spec: FeatureSpec, seq: BoundedSequence, delta: float, seed: int, run: OnlineRunResult
 ) -> tuple[RandomizedPredictor, np.ndarray, np.ndarray]:
     """identity's mixture of certified predictors and its (3, n) prediction and weight tables.
 
     The constituents are the damped ridge predictor at delta, the same clipped
-    to [-A, A], and the damped predictor at 2 delta.  Their table rows come
-    from two whole-sequence engine runs, which equal the per-prefix
-    `mixture_tables(rp, seq)` bitwise: engine blocks start at fixed offsets and
-    every step's system is solved on its own.
+    to [-A, A], and the damped predictor at 2 delta.  Their rows come from `run`
+    (the caller's `run_online` at delta; a clip moves only its plain trace) and a
+    run at 2 delta, and equal the per-prefix `mixture_tables(rp, seq)` bitwise:
+    engine blocks start at fixed offsets and every step is solved on its own.
     """
     constituents = (
         ridge_predictor_fn(spec, delta, damped=True),
@@ -404,7 +399,7 @@ def identity_mixture(
         ridge_predictor_fn(spec, 2.0 * delta, damped=True),
     )
     rp = RandomizedPredictor(constituents, static_rule(IDENTITY_WEIGHTS), seed=seed)
-    damped = run_online(spec, seq, delta).damped_predictions
+    damped = run.damped_predictions
     preds = np.stack([
         damped,
         np.clip(damped, -seq.bound_A, seq.bound_A),
@@ -420,12 +415,7 @@ def cmd_identity(ns: argparse.Namespace) -> int:
     failures: list[str] = []
 
     # evidence identity on the scalar restriction of the chosen class
-    if ns.klass == "univar":
-        scalar_spec = univariate_poly(1)
-    elif ns.klass == "linear":
-        scalar_spec = linear_lag(ns.k, 1)
-    else:
-        scalar_spec = monomial_features(default_monomials(1))
+    scalar_spec = build_feature_spec(argparse.Namespace(klass=ns.klass, k=ns.k, m=1))
     h = 2.0 * ns.delta
     sigma2 = 2.0  # delta_eff = h / sigma2 = delta
     algebraic = mixture_log_evidence(scalar_spec, seq, h, sigma2)
@@ -436,7 +426,8 @@ def cmd_identity(ns: argparse.Namespace) -> int:
         failures.append(f"evidence identity mismatch (rel gap {rel_gap:.3e})")
 
     # randomized mixture of certified predictors vs its derandomization
-    rp, preds, probs = identity_mixture(spec, seq, ns.delta, ns.seed)
+    run = run_online(spec, seq, ns.delta, clip=ns.clip)
+    rp, preds, probs = identity_mixture(spec, seq, ns.delta, ns.seed, run)
     # the table stands in for per-prefix calls: hold it to the history functions at a few steps
     values = seq.values
     for t in sorted({0, len(seq) // 2, len(seq) - 1}):
@@ -463,7 +454,6 @@ def cmd_identity(ns: argparse.Namespace) -> int:
     if derand_loss > p_rand_analytic + 1e-10 * scale:
         failures.append("derandomization failed to dominate the randomized loss")
 
-    run = run_online(spec, seq, ns.delta, clip=ns.clip)
     report = regret_report(spec, seq, ns.delta, run)
     lines = [
         ",".join(EXTENDED_CSV_COLUMNS),
@@ -521,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="universal vs LMS vs RLS (vs Bayes on two-valued data)")
     add_common(p_compare, with_sequence=True)
-    p_compare.add_argument("--mu", type=float, default=None, help="LMS step size (default: 0.5 / (m*max(A,1)^2))")
+    p_compare.add_argument("--mu", type=float, default=None, help="LMS step size (default: 0.5 / (m*max(M,1)^2), M = worst |f|)")
     p_compare.add_argument("--forgetting", type=float, default=1.0,
                            help="RLS forgetting factor in (0, 1]: discounts the ridge statistics and regularizer per step")
     p_compare.set_defaults(func=cmd_compare)

@@ -8,12 +8,12 @@ forecast r^T (R + f f^T + dI)^{-1} f, which the regret certificate in
 `batch.RegretReport` provably covers; the plain trace can overshoot it on short
 sign-flip bursts (see `batch.bound_convention_audit`).
 
-Every ridge path runs on one blocked engine: `_prefix_blocks` builds BLOCK_STEPS
-steps of statistics at a time by cumulative sums and `_vaw_solve` solves them in
-one batched call, in O(BLOCK_STEPS * m^2) memory; forgetting-factor RLS is the
-same engine with discounted statistics and regularizer.  A system singular in
-floating point raises ValueError (exit 2 in the CLI).  `run_online(verify_dense=True)`
-audits the engine against an independent Cholesky re-solve.
+Every ridge path runs on one blocked engine whose layout only this module knows:
+`_prefix_blocks` builds BLOCK_STEPS steps of statistics at a time by cumulative
+sums, `_vaw_solve` solves them in one batched call and `_engine_pass` walks them
+once; other modules read predictions and leverages from `run_online`.  RLS is the
+same pass with discounted statistics and regularizer.  A system singular in floating
+point raises ValueError (exit 2 in the CLI); `verify_dense` audits by Cholesky.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float
 
     Row i holds (R + lambda^k delta I, r) before the block's step i (global step
     k), R and r summing lambda^(k-1-s) f_s f_s^T and lambda^(k-1-s) x_s f_s over
-    s < k; the last row is after its final step.  At lambda = 1 sums add one
-    step at a time from the previous block's last row, so each row equals the
-    `update` chain bitwise.  Under forgetting the decaying regularizer rides in
-    the statistics, step j enters the sums weighted by lambda^-j <= e^300 and
-    row i >= 1 is rescaled by lambda^(i-1).  Block lengths depend on lambda
-    alone, so prefix runs reproduce the leading steps bitwise.  The next block
-    overwrites `shifted`.
+    s < k.  At lambda = 1 sums add one step at a time from the previous block's
+    statistics after its final step, so each row equals the `update` chain
+    bitwise.  Under forgetting the decaying regularizer rides in the statistics,
+    step j enters the sums weighted by lambda^-j <= e^300 and row i >= 1 is
+    rescaled by lambda^(i-1).  Block lengths depend on lambda alone, so prefix
+    runs reproduce the leading steps bitwise.  The next block overwrites `shifted`.
     """
     n, m = F.shape
     block = BLOCK_STEPS if forgetting == 1.0 else min(BLOCK_STEPS, 1 + int(300.0 / -np.log(forgetting)))
@@ -108,13 +107,13 @@ def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float
             grams[1:] *= powers[:b, None, None]
             crosses[1:] *= powers[:b, None]
             grams[0], crosses[0] = gram, cross
-        gram, cross = grams[-1].copy(), crosses[-1]
+        gram, cross = grams[-1].copy(), crosses[-1]  # after the block's final step
         grams += shift
-        yield steps, grams, crosses
+        yield steps, grams[:-1], crosses[:-1]
 
 
 def _vaw_solve(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray):
-    """Plain prediction r.g, leverage f.g and quadratic form r.a per stacked step.
+    """Plain prediction r.g and leverage f.g per stacked step.
 
     (a, g) solve (R + dI) [a, g] = [r, f] per item of `shifted` (b, m, m) = R + dI,
     `crosses` (b, m) and `F` (b, m).  Items are solved independently, so a batch
@@ -130,7 +129,18 @@ def _vaw_solve(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray):
             "ridge system R + dI is singular in floating point: the regularizer d (delta, or "
             "delta * forgetting^k under forgetting) is below the resolution of R at its scale"
         ) from exc
-    return np.sum(crosses * sol[..., 1], 1), np.sum(F * sol[..., 1], 1), np.sum(crosses * sol[..., 0], 1)
+    return np.sum(crosses * sol[..., 1], 1), np.sum(F * sol[..., 1], 1)
+
+
+def _engine_pass(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float = 1.0, audit: bool = False):
+    """Per-step plain predictions, leverages and the worst Cholesky audit gap (if `audit`)."""
+    raw, leverage = np.empty((2, F.shape[0]))
+    worst_gap = 0.0
+    for steps, shifted, crosses in _prefix_blocks(F, x, delta, forgetting):
+        raw[steps], leverage[steps] = _vaw_solve(shifted, crosses, F[steps])
+        if audit:
+            worst_gap = max(worst_gap, _cholesky_gap(shifted, crosses, F[steps], raw[steps]))
+    return raw, leverage, worst_gap if audit else None
 
 
 def _cholesky_gap(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray, raw: np.ndarray) -> float:
@@ -150,7 +160,7 @@ def predict(state: PredictorState, f) -> float:
     """Plain online prediction r^T (R + delta I)^{-1} f; 0 on empty statistics."""
     vec = _as_feature(state, f)
     shifted = state.gram_R + state.delta * np.eye(state.order_m)
-    raw, _, _ = _vaw_solve(shifted[None], state.cross_r[None], vec[None])
+    raw, _ = _vaw_solve(shifted[None], state.cross_r[None], vec[None])
     return float(raw[0])
 
 
@@ -171,10 +181,11 @@ class OnlineRunResult:
 
     `predictions` / `per_step_losses` / `cumulative_loss` describe the plain
     online predictions.  For `run_online`, `damped_predictions` / `damped_loss`
-    hold the leverage-damped trace that the determinant certificate covers
-    (None for the LMS and RLS baselines, which report plain predictions only).
-    `max_dense_gap` is the worst per-step relative gap between the engine's
-    prediction and the independent Cholesky re-solve, when that audit was requested.
+    hold the leverage-damped trace that the determinant certificate covers, and
+    `leverage` each step's f^T (R + delta I)^{-1} f (all None for the LMS and
+    RLS baselines, which report plain predictions only).  `max_dense_gap` is the
+    worst per-step relative gap between the engine's prediction and the
+    independent Cholesky re-solve, when that audit was requested.
     """
 
     predictions: np.ndarray
@@ -183,6 +194,7 @@ class OnlineRunResult:
     damped_predictions: np.ndarray | None = None
     damped_loss: float | None = None
     max_dense_gap: float | None = None
+    leverage: np.ndarray | None = None
 
 
 def run_online(
@@ -202,15 +214,9 @@ def run_online(
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
     delta = init(spec.order_m, delta).delta  # validates delta
-    F = feature_matrix(spec, seq)
     x = seq.values
-    raw, damped = np.empty(len(seq)), np.empty(len(seq))
-    worst_gap = 0.0
-    for steps, shifted, crosses in _prefix_blocks(F, x, delta):
-        raw[steps], leverage, _ = _vaw_solve(shifted[:-1], crosses[:-1], F[steps])
-        damped[steps] = raw[steps] / (1.0 + leverage)
-        if verify_dense:
-            worst_gap = max(worst_gap, _cholesky_gap(shifted[:-1], crosses[:-1], F[steps], raw[steps]))
+    raw, leverage, worst_gap = _engine_pass(feature_matrix(spec, seq), x, delta, audit=verify_dense)
+    damped = raw / (1.0 + leverage)
     preds = np.clip(raw, -seq.bound_A, seq.bound_A, out=raw) if clip else raw
     losses = (x - preds) ** 2
     return OnlineRunResult(
@@ -219,29 +225,37 @@ def run_online(
         per_step_losses=losses,
         damped_predictions=damped,
         damped_loss=float(np.sum((x - damped) ** 2)),
-        max_dense_gap=worst_gap if verify_dense else None,
+        max_dense_gap=worst_gap,
+        leverage=leverage,
     )
 
 
 def run_lms(spec: FeatureSpec, seq: BoundedSequence, step_size: float) -> OnlineRunResult:
-    """Gradient baseline: w <- w + step_size * error * f, weights start at 0."""
+    """Gradient baseline: w <- w + step_size * error * f, weights start at 0.  A step size
+    above the stability limit 2 / |f_t|^2 of some step (the update amplifies the error) raises ValueError."""
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
-    if step_size < 0:
-        raise ValueError("step_size must be nonnegative")
+    if not 0.0 <= step_size < np.inf:
+        raise ValueError("step_size must be nonnegative and finite")
     F = feature_matrix(spec, seq)
     x = seq.values
     n = len(seq)
     w = np.zeros(spec.order_m)
     preds = np.empty(n)
     losses = np.empty(n)
-    for t in range(n):
-        f = F[t]
-        pred = float(w @ f)
-        err = x[t] - pred
-        preds[t] = pred
-        losses[t] = err ** 2
-        w = w + step_size * err * f
+    with np.errstate(over="raise", invalid="raise"):
+        energy = np.einsum("ij,ij->i", F, F)
+        if step_size * energy.max() > 2.0:
+            t = int(np.argmax(energy))
+            raise ValueError(f"LMS step size mu={step_size!r} is unstable on this sequence: mu |f_t|^2 > 2 at "
+                             f"step {t + 1}, where the update amplifies the error (stable for mu <= {2.0 / energy[t]})")
+        for t in range(n):
+            f = F[t]
+            pred = float(w @ f)
+            err = x[t] - pred
+            preds[t] = pred
+            losses[t] = err ** 2
+            w = w + step_size * err * f
     return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)
 
 
@@ -263,11 +277,8 @@ def run_rls(
         raise ValueError("delta must be positive")
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting factor must be in (0, 1]")
-    F = feature_matrix(spec, seq)
     x = seq.values
-    preds = np.empty(len(seq))
     with np.errstate(over="raise"):  # features near the float range overflow the discount weights
-        for steps, shifted, crosses in _prefix_blocks(F, x, float(delta), float(forgetting)):
-            preds[steps], _, _ = _vaw_solve(shifted[:-1], crosses[:-1], F[steps])
+        preds, _, _ = _engine_pass(feature_matrix(spec, seq), x, float(delta), float(forgetting))
     losses = (x - preds) ** 2
     return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)

@@ -17,9 +17,9 @@ Monte-Carlo totals, the per-step expected losses, the bias/variance split and
 the derandomized loss.  `mixture_tables` fills the tables by calling every
 constituent on every prefix, which costs O(n) calls of O(n) each for ridge
 constituents; a caller that knows its constituents can fill them in linear
-time instead (the `identity` command builds its ridge rows from whole-sequence
-`run_online` runs, which give the same numbers bitwise, and spot-checks them
-against the history functions).
+time instead (`identity` reads its ridge rows from whole-sequence `run_online`
+runs, bitwise equal to `ridge_predictor_fn`, the history-function form that
+runs `run_online` on each history, and spot-checks them against it).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .predictors import _prefix_blocks, _vaw_solve
-from .sequences import BoundedSequence, FeatureSpec, feature_matrix
+from .predictors import run_online
+from .sequences import BoundedSequence, FeatureSpec
 
 # A constituent maps the observed history x_1..x_{t-1} (1d array) to a real
 # prediction of x_t.  A probability rule maps the same history to a vector of
@@ -208,22 +208,20 @@ def ridge_predictor_fn(
 ) -> PredictorFn:
     """A pure history -> prediction wrapper around the online ridge engine.
 
-    Each call folds the whole history into the engine's statistics (cost grows
-    with its length), so the handle is a genuine function of the observed
-    prefix as the mixture contract requires.  `damped` selects the
-    leverage-damped output (the certificate-carrying form); `clip_to` clamps
-    the output into [-clip_to, +clip_to].
+    Each call is one `run_online` over the history with a 0 appended and reads
+    the last step's prediction (cost grows with the history's length), so the
+    handle is a genuine function of the observed prefix as the mixture
+    contract requires, and equals the whole-sequence run's row bitwise.
+    `damped` selects the leverage-damped output (the certificate-carrying
+    form); `clip_to` clamps the output into [-clip_to, +clip_to].
     """
 
     def predict_next(history: np.ndarray) -> float:
         # the appended sample is never read: the features of the step to
         # predict use earlier samples, and its prediction the earlier steps
         h = np.append(np.asarray(history, dtype=float), 0.0)
-        F = feature_matrix(spec, BoundedSequence(h, float(np.max(np.abs(h)))))
-        for _, shifted, crosses in _prefix_blocks(F, h, float(delta)):
-            pass  # only the last block's statistics are needed
-        raw, leverage, _ = _vaw_solve(shifted[-2:-1], crosses[-2:-1], F[-1:])
-        out = float(raw[0] / (1.0 + leverage[0])) if damped else float(raw[0])
+        run = run_online(spec, BoundedSequence(h, float(np.max(np.abs(h)))), delta)
+        out = float((run.damped_predictions if damped else run.predictions)[-1])
         if clip_to is not None:
             out = min(max(out, -clip_to), clip_to)
         return out

@@ -7,16 +7,19 @@ means) or is a closed-form hand value documented inline.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import betaln
 
+import seqregret
 from seqregret import (
     AdversaryKind,
     AdversarySpec,
@@ -269,9 +272,8 @@ def evidence_quadrature_oracle(spec, seq, h, sigma2):
     center = float(x @ F) / (R + h / sigma2)
     width = math.sqrt(h / (R + h / sigma2))
     grid = np.linspace(center - 14 * width, center + 14 * width, 30001)
-    logs = np.array(
-        [-0.5 * b * b / sigma2 - float((x - b * F) @ (x - b * F)) / (2 * h) for b in grid]
-    )
+    resid = x[None, :] - grid[:, None] * F[None, :]
+    logs = -0.5 * grid * grid / sigma2 - np.sum(resid * resid, axis=1) / (2 * h)
     shift = logs.max()
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapezoid(np.exp(logs - shift), grid))
@@ -412,7 +414,10 @@ def test_criterion_9_seeded_cli_reruns_byte_identical(tmp_path):
         first, second = cli_twice(tmp_path, name, args)
         all_equal = all_equal and first == second and len(first) > 0
 
-    # one pair through a fresh interpreter as well (separate processes)
+    # one pair through a fresh interpreter as well (separate processes), importing
+    # the package this suite imported, installed or not
+    package_root = str(Path(seqregret.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     sub_a, sub_b = tmp_path / "proc_a.csv", tmp_path / "proc_b.csv"
     for target in (sub_a, sub_b):
         proc = subprocess.run(
@@ -422,6 +427,7 @@ def test_criterion_9_seeded_cli_reruns_byte_identical(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
     subprocess_equal = sub_a.read_bytes() == sub_b.read_bytes()

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqregret import BoundedSequence, cli, feature_matrix, linear_lag, monomial_features, regret_report, run_online
+from seqregret import (
+    BoundedSequence,
+    cli,
+    feature_matrix,
+    gram_log_det_ratio,
+    linear_lag,
+    monomial_features,
+    regret_report,
+    run_online,
+)
 from seqregret.batch import RegretReport
 from seqregret.cli import (
     InputFileError,
@@ -241,6 +250,25 @@ def test_bound_trace_ends_at_the_report_and_majorizes_every_prefix(spec):
     assert np.all(cum_damped <= certificate + 1e-9)
 
 
+def test_bound_trace_certificate_matches_an_augmented_least_squares_oracle():
+    # the `regret --svg` input of a long, well-fit run: a sinusoid obeys a lag-2
+    # recurrence, so the penalized objective stays O(1) while sum x^2 grows with n
+    ns = cli.build_parser().parse_args(["regret", "--family", "sinusoid", "--n", "16384", "--m", "4"])
+    spec, seq, delta = cli.build_feature_spec(ns), cli.build_sequence(ns), 1.0
+    _, certificate = bound_trace(spec, seq, delta)
+    F, x = feature_matrix(spec, seq), seq.values
+    worst = 0.0
+    for t in range(256, len(seq) + 1, 256):
+        # min_w |x - F w|^2 + delta |w|^2 as one least-squares problem on [F; sqrt(delta) I]
+        aug = np.vstack([F[:t], math.sqrt(delta) * np.eye(spec.order_m)])
+        target = np.concatenate([x[:t], np.zeros(spec.order_m)])
+        w = np.linalg.lstsq(aug, target, rcond=None)[0]
+        resid = aug @ w - target
+        oracle = float(resid @ resid) + seq.bound_A ** 2 * gram_log_det_ratio(F[:t].T @ F[:t], delta)
+        worst = max(worst, abs(certificate[t - 1] - oracle) / oracle)
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -351,10 +379,11 @@ def test_compare_checkpoints_and_baselines(tmp_path):
     klass=st.sampled_from(["univar", "monomial", "linear"]),
     m=st.integers(1, 4),
     n=st.integers(1, 600),
+    amplitude=st.floats(min_value=1e-3, max_value=1e6),
 )
-def test_compare_under_any_forgetting_exits_cleanly_with_finite_rows(forgetting, family, klass, m, n):
+def test_compare_under_any_forgetting_exits_cleanly_with_finite_rows(forgetting, family, klass, m, n, amplitude):
     args = ["compare", "--family", family, "--class", klass, "--m", str(m), "--n", str(n),
-            "--forgetting", repr(forgetting), "--seed", "1"]
+            "--forgetting", repr(forgetting), "--A", repr(amplitude), "--seed", "1"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(*args)
@@ -363,6 +392,25 @@ def test_compare_under_any_forgetting_exits_cleanly_with_finite_rows(forgetting,
     if code == 0:
         for row in parse_csv(out.getvalue()):
             assert math.isfinite(float(row["loss"])) and math.isfinite(float(row["regret"])), row
+
+
+def test_compare_lms_default_step_scales_with_the_feature_magnitude():
+    # univar features reach A^m = 1e4 here; a step size normalized by A^2 alone diverged to nan
+    args = ["compare", "--class", "univar", "--m", "4", "--A", "10", "--family", "walk", "--seed", "1", "--n", "600"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert run_cli(*args) == 0, err.getvalue()
+    rows = parse_csv(out.getvalue())
+    assert [r["algo"] for r in rows].count("lms") == 4
+    assert all(math.isfinite(float(r["loss"])) for r in rows)
+
+
+def test_compare_refuses_an_unstable_lms_step(capfd):
+    assert run_cli("compare", "--family", "walk", "--seed", "1", "--n", "600", "--mu", "50") == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "LMS step size mu=50.0 is unstable" in captured.err
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
 
 
 def test_compare_includes_bayes_only_on_two_valued_data(tmp_path):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from seqregret import (
     BoundedSequence,
+    gram_log_det_ratio,
     init,
     linear_lag,
+    monomial_features,
     predict,
     run_lms,
     run_online,
@@ -269,6 +271,21 @@ def test_run_online_damped_trace_shrinks_predictions():
     assert run.damped_loss == pytest.approx(float(np.sum((values - run.damped_predictions) ** 2)))
 
 
+@pytest.mark.parametrize("n", [1, 7, 600])
+@pytest.mark.parametrize(
+    "spec", [linear_lag(1, 3), univariate_poly(2), monomial_features([{1: 1}, {1: 1, 2: 1}])],
+    ids=["linear", "univar", "monomial"],
+)
+def test_leverage_sums_to_the_log_det_ratio(spec, n):
+    # matrix determinant lemma: det(R_t + f f^T + dI) = det(R_t + dI) (1 + leverage_t)
+    rng = np.random.default_rng(n)
+    seq = BoundedSequence(rng.uniform(-1, 1, n), 1.0)
+    run = run_online(spec, seq, 0.5)
+    F = feature_matrix(spec, seq)
+    assert np.all(run.leverage >= 0)
+    assert float(np.sum(np.log1p(run.leverage))) == pytest.approx(gram_log_det_ratio(F.T @ F, 0.5), rel=1e-12)
+
+
 def test_run_online_rejects_empty_sequence():
     with pytest.raises(ValueError):
         run_online(linear_lag(1, 1), BoundedSequence(np.array([]), 1.0), 1.0)
@@ -300,6 +317,13 @@ def test_lms_three_ones_matches_hand_recursion():
 def test_lms_rejects_negative_step():
     with pytest.raises(ValueError):
         run_lms(linear_lag(1, 1), BoundedSequence(np.zeros(2), 1.0), -0.1)
+
+
+@pytest.mark.parametrize("step", [float("inf"), float("nan"), 2.5])
+def test_lms_rejects_non_finite_and_unstable_steps(step):
+    # features 0, 1, 1: a step above 2 / |f|^2 = 2 amplifies the error at steps 2 and 3
+    with pytest.raises(ValueError, match="step"):
+        run_lms(linear_lag(1, 1), BoundedSequence(np.ones(3), 1.0), step)
 
 
 # ------------------------------------------------------------------- RLS

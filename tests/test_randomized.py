@@ -265,16 +265,16 @@ def test_engine_rows_equal_the_history_functions_on_every_prefix(spec):
 
 
 def test_identity_tables_equal_the_per_prefix_tables():
-    seq = walk_sequence(32)
-    rp, preds, probs = identity_mixture(linear_lag(1, 3), seq, 0.5, 9)
+    seq, spec = walk_sequence(32), linear_lag(1, 3)
+    rp, preds, probs = identity_mixture(spec, seq, 0.5, 9, run_online(spec, seq, 0.5))
     ref_preds, ref_probs = mixture_tables(rp, seq)
     np.testing.assert_array_equal(preds, ref_preds)
     np.testing.assert_array_equal(probs, ref_probs)
 
 
 def test_table_account_equals_the_history_function_route():
-    seq = walk_sequence(33)
-    rp, preds, probs = identity_mixture(univariate_poly(2), seq, 1.0, 4)
+    seq, spec = walk_sequence(33), univariate_poly(2)
+    rp, preds, probs = identity_mixture(spec, seq, 1.0, 4, run_online(spec, seq, 1.0))
     account = mixture_account(seq.values, preds, probs, trials=60, seed=rp.seed)
     mc, per_step = run_randomized(rp, seq, trials=60)
     assert account.mc_mean == mc
