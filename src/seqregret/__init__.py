@@ -19,7 +19,6 @@ from .adversary import (
     bayes_prediction_trace,
     estimate_lower_bound,
     generate,
-    monomial_bayes_prediction_trace,
     sample_theta,
     transition_posterior_check,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "mc_trial_totals",
     "mixture_tables",
     "mixture_log_evidence",
-    "monomial_bayes_prediction_trace",
     "monomial_features",
     "normalization_constant",
     "predict",

@@ -2,10 +2,11 @@
 
 The construction: draw a stay probability theta from a symmetric beta(C, C)
 prior, then emit a two-valued sequence in {+A, -A} where each new sample
-either repeats or flips a reference value (the sample one lag-k chain back,
-or the sign of a normalized monomial of the recent history).  The conditional
-mean predictor under this law is (2*theta_hat - 1) times the reference, with
-theta_hat the conjugate posterior mean of theta.  Averaging the gap between
+either repeats or flips a reference value (the sample k steps back, or the
+sign of a normalized monomial of the recent history).  The conditional mean
+predictor under this law is (2*theta_hat - 1) times the reference, with
+theta_hat the conjugate posterior mean of theta given every transition seen
+so far (one pooled count, whatever the reference).  Averaging the gap between
 that predictor's sequential loss and the best hindsight fit gives a Monte
 Carlo floor on how much any sequential algorithm must regret.
 """
@@ -43,11 +44,14 @@ class AdversaryKind(Enum):
 class AdversarySpec:
     """A lower-bound sequence distribution.
 
-    kind = SIGN_FLIP_LAG: x[t] repeats x[t-k] with probability theta, else
-    flips it; the first k samples are +A.  kind = SIGN_FLIP_MONOMIAL: the
-    reference is the sign of the monomial evaluated on recent history
-    (normalized to magnitude A, which is exact for any pure monomial on
-    two-valued input); the first max-lag samples are +A.
+    One theta is drawn per sequence, and every sample from the memory on
+    repeats its reference with probability theta, else flips it; the first
+    memory samples are +A.  kind = SIGN_FLIP_LAG: the reference is x[t-k]
+    (the monomial ((k, 1),)), so all k interleaved subchains share theta.
+    kind = SIGN_FLIP_MONOMIAL: the reference is the sign of the monomial
+    evaluated on recent history (normalized to magnitude A, which is exact for
+    any pure monomial on two-valued input).  `reference` gives the monomial of
+    either kind.
     """
 
     kind: AdversaryKind
@@ -80,10 +84,15 @@ class AdversarySpec:
                     raise ValueError(f"monomial terms need lag >= 1 and exponent >= 1, got {(lag, exp)}")
 
     @property
-    def memory(self) -> int:
+    def reference(self) -> Monomial:
+        """The monomial whose sign each sample repeats or flips: ((k, 1),), i.e. x[t-k], for the lag kind."""
         if self.kind is AdversaryKind.SIGN_FLIP_LAG:
-            return self.lag_k
-        return max(lag for lag, _ in self.monomial)
+            return ((self.lag_k, 1),)
+        return self.monomial
+
+    @property
+    def memory(self) -> int:
+        return max(lag for lag, _ in self.reference)
 
     def matching_feature_spec(self, order_m: int = 1) -> FeatureSpec:
         """The hindsight comparator class this adversary is built against."""
@@ -153,10 +162,11 @@ def _check_two_valued(values: np.ndarray, A: float) -> None:
 def bayes_predict(history: BoundedSequence, beta_C: float, k: int) -> float:
     """Conditional-mean prediction of the next sample of a lag-k sign-flip chain.
 
-    Counts stays/flips inside the lag-k subchain the next index belongs to
-    and returns (2*theta_hat - 1) * x[t-k] with the conjugate posterior mean
-    theta_hat = (stays + C) / (stays + flips + 2C).  With no usable history
-    (next index <= k) the prior mean theta = 1/2 gives 0.
+    One theta governs every transition, so the stays/flips of x[q] against
+    x[q-k] are counted over every q from k up to the next index t, in all k
+    subchains, and the result is (2*theta_hat - 1) * x[t-k] with the conjugate
+    posterior mean theta_hat = (stays + C) / (stays + flips + 2C).  With no
+    usable history (next index < k) the prior mean theta = 1/2 gives 0.
     """
     if not beta_C > 0:
         raise ValueError("beta_C must be positive")
@@ -167,60 +177,37 @@ def bayes_predict(history: BoundedSequence, beta_C: float, k: int) -> float:
     if t < k:
         return 0.0
     _check_two_valued(vals, history.bound_A)
-    # positions q in t's subchain with both x[q] and x[q-k] observed
-    positions = np.arange(t % k + k, t, k)
-    stays = int(np.sum(vals[positions] == vals[positions - k])) if positions.size else 0
-    total = int(positions.size)
-    theta_hat = (stays + beta_C) / (total + 2.0 * beta_C)
+    positions = np.arange(k, t)  # every q with both x[q] and x[q-k] observed
+    stays = int(np.sum(vals[positions] == vals[positions - k]))
+    theta_hat = (stays + beta_C) / (positions.size + 2.0 * beta_C)
     return float((2.0 * theta_hat - 1.0) * vals[t - k])
 
 
-def bayes_prediction_trace(values: np.ndarray, beta_C: float, k: int) -> np.ndarray:
-    """Vectorized bayes_predict over a whole chain: entry t predicts values[t]."""
+def bayes_prediction_trace(seq: BoundedSequence, beta_C: float, reference: Monomial) -> np.ndarray:
+    """Conditional-mean predictions of a sign-flip law, one pooled posterior: entry t predicts x[t].
+
+    The reference at t is A times the sign of the monomial `reference` of the
+    history (x[t-k] is ((k, 1),)); under the law every sample from the
+    reference's memory on agrees with it with probability theta.  theta_hat_t
+    = (agreements before t + C) / (transitions before t + 2C), over every
+    q >= memory, and entry t is (2*theta_hat_t - 1) times the reference; the
+    first memory entries are 0.  `seq` must take values exactly in {+A, -A}.
+    """
+    values, A = seq.values, seq.bound_A
+    _check_two_valued(values, A)
     n = values.size
-    preds = np.zeros(n)
-    if n <= k:
-        return preds
-    stay = (values[k:] == values[:-k]).astype(float)
-    C = float(beta_C)
-    for j in range(k):
-        chain = stay[j::k]
-        L = chain.size
-        if L == 0:
-            continue
-        seen = np.arange(L, dtype=float)
-        stays_before = np.concatenate([[0.0], np.cumsum(chain)[:-1]])
-        theta_hat = (stays_before + C) / (seen + 2.0 * C)
-        positions = j + k + np.arange(L) * k
-        preds[positions] = (2.0 * theta_hat - 1.0) * values[positions - k]
-    return preds
-
-
-def _monomial_reference_signs(values: np.ndarray, A: float, mono: Monomial) -> np.ndarray:
-    """Normalized monomial of the history preceding each position (entries +-A or 0)."""
-    n = values.size
-    mem = max(lag for lag, _ in mono)
-    ref = np.ones(n)
-    for lag, exp in mono:
-        shifted = np.concatenate([np.zeros(lag), values[: n - lag]])
-        ref *= np.sign(shifted) ** exp
-    ref[:mem] = 0.0
-    return ref * A
-
-
-def monomial_bayes_prediction_trace(values: np.ndarray, A: float, beta_C: float, mono: Monomial) -> np.ndarray:
-    """Conditional-mean trace for the monomial adversary (single pooled chain)."""
-    n = values.size
-    mem = max(lag for lag, _ in mono)
+    mem = max(lag for lag, _ in reference)
     preds = np.zeros(n)
     if n <= mem:
         return preds
-    ref = _monomial_reference_signs(values, A, mono)
-    agree = (values[mem:] == ref[mem:]).astype(float)
+    ref = np.full(n - mem, A)
+    for lag, exp in reference:
+        ref *= np.sign(values[mem - lag:n - lag]) ** exp
+    agree = (values[mem:] == ref).astype(float)
     seen = np.arange(agree.size, dtype=float)
     agrees_before = np.concatenate([[0.0], np.cumsum(agree)[:-1]])
     theta_hat = (agrees_before + beta_C) / (seen + 2.0 * beta_C)
-    preds[mem:] = (2.0 * theta_hat - 1.0) * ref[mem:]
+    preds[mem:] = (2.0 * theta_hat - 1.0) * ref
     return preds
 
 
@@ -255,14 +242,6 @@ class LowerBoundTable:
         return "\n".join(lines) + "\n"
 
 
-def _bayes_loss(spec: AdversarySpec, seq: BoundedSequence) -> float:
-    if spec.kind is AdversaryKind.SIGN_FLIP_LAG:
-        preds = bayes_prediction_trace(seq.values, spec.beta_C, spec.lag_k)
-    else:
-        preds = monomial_bayes_prediction_trace(seq.values, seq.bound_A, spec.beta_C, spec.monomial)
-    return float(np.sum((seq.values - preds) ** 2))
-
-
 def estimate_lower_bound(
     spec: AdversarySpec,
     n_grid: list[int],
@@ -293,7 +272,8 @@ def estimate_lower_bound(
             theta = sample_theta(spec.beta_C, rng)
             seq = generate(spec_n, theta, rng)
             _, hindsight = batch_solve(feature_spec, seq, 0.0)
-            gaps[i] = _bayes_loss(spec_n, seq) - hindsight
+            preds = bayes_prediction_trace(seq, spec.beta_C, spec.reference)
+            gaps[i] = float(np.sum((seq.values - preds) ** 2)) - hindsight
         mean = float(np.mean(gaps))
         se = float(np.std(gaps, ddof=1) / math.sqrt(trials))
         rows.append(LowerBoundRow(n=int(n), mean_regret=mean, std_error=se, trials=trials))

@@ -33,18 +33,22 @@ from .sequences import BoundedSequence, FeatureSpec, feature_matrix
 PSEUDO_RANK_TOL = 1e-10
 
 
-def batch_solve(spec: FeatureSpec, seq: BoundedSequence, delta: float) -> tuple[np.ndarray, float]:
+def batch_solve(
+    spec: FeatureSpec, seq: BoundedSequence, delta: float, F: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Best fixed weights in hindsight and their raw squared-error loss.
 
     For delta > 0 solves the ridge normal equations (F^T F + delta I) w = F^T x;
     for delta = 0 returns the minimum-norm least-squares solution, treating
     singular values below ``PSEUDO_RANK_TOL`` times the largest as zero.  The
     returned loss excludes the delta*||w||^2 penalty (add it back for the
-    penalized objective).
+    penalized objective).  `F` is feature_matrix(spec, seq) when the caller
+    already has it.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    F = feature_matrix(spec, seq)
+    if F is None:
+        F = feature_matrix(spec, seq)
     x = seq.values
     if delta == 0:
         w, *_ = np.linalg.lstsq(F, x, rcond=PSEUDO_RANK_TOL)
@@ -136,11 +140,10 @@ def regret_report(
     if not delta > 0:
         raise ValueError("delta must be positive")
 
-    w_star, ridge_raw = batch_solve(spec, seq, delta)
-    ridge_objective = ridge_raw + float(delta) * float(w_star @ w_star)
-    _, raw_loss = batch_solve(spec, seq, 0.0)
-
     F = feature_matrix(spec, seq)
+    w_star, ridge_raw = batch_solve(spec, seq, delta, F)
+    ridge_objective = ridge_raw + float(delta) * float(w_star @ w_star)
+    _, raw_loss = batch_solve(spec, seq, 0.0, F)
     det_bound = seq.bound_A ** 2 * gram_log_det_ratio(F.T @ F, delta)
     return RegretReport(
         sequential_loss=online.cumulative_loss,

@@ -4,7 +4,8 @@ Subcommands
 -----------
 regret      one sequence, one feature class: online run, regret report CSV,
             optional SVG of cumulative certified loss vs the certificate.
-lowerbound  Monte-Carlo regret floor over a horizon grid (adversarial draws).
+lowerbound  Monte-Carlo regret floor over a horizon grid (adversarial draws),
+            optional SVG of the floor vs ln n.
 compare     universal ridge vs LMS vs RLS (vs the Bayes reference on
             adversarial data) at prefix checkpoints of one sequence.
 identity    evidence-identity and randomized/derandomized accounting checks.
@@ -73,7 +74,7 @@ def read_sequence_file(path: str) -> BoundedSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read sequence file {path}: {exc}") from exc
     bound = None
     values: list[float] = []
@@ -109,7 +110,7 @@ def read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -265,24 +266,18 @@ def default_n_grid(n_top: int) -> list[int]:
 
 
 def cmd_lowerbound(ns: argparse.Namespace) -> int:
+    if ns.klass == "univar":
+        raise ValueError("lowerbound has no univar adversary: --class is linear (lag-k sign flips) or monomial")
     if ns.klass == "monomial":
-        spec = AdversarySpec(
-            kind=AdversaryKind.SIGN_FLIP_MONOMIAL,
-            beta_C=ns.C,
-            bound_A=ns.A,
-            horizon_n=ns.n,
-            seed=ns.seed,
-            monomial=((1, 1), (2, 1)),
-        )
+        if ns.m != 1 or ns.k != 1:
+            raise ValueError(
+                f"lowerbound --class monomial flips the fixed monomial x[t-1]*x[t-2] and fits that one "
+                f"feature; --m and --k do not apply (got --m {ns.m}, --k {ns.k})"
+            )
+        law = dict(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=((1, 1), (2, 1)))
     else:
-        spec = AdversarySpec(
-            kind=AdversaryKind.SIGN_FLIP_LAG,
-            beta_C=ns.C,
-            bound_A=ns.A,
-            horizon_n=ns.n,
-            seed=ns.seed,
-            lag_k=ns.k,
-        )
+        law = dict(kind=AdversaryKind.SIGN_FLIP_LAG, lag_k=ns.k)
+    spec = AdversarySpec(beta_C=ns.C, bound_A=ns.A, horizon_n=ns.n, seed=ns.seed, **law)
     table = estimate_lower_bound(spec, default_n_grid(ns.n), ns.trials, order_m=ns.m)
     write_text(ns.out, table.csv_text())
     if ns.svg:
@@ -327,7 +322,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         "rls": at_checkpoints(run_rls(spec, seq, ns.delta, forgetting=ns.forgetting).per_step_losses),
     }
     if two_valued:
-        losses["bayes"] = at_checkpoints((seq.values - bayes_prediction_trace(seq.values, ns.C, ns.k)) ** 2)
+        losses["bayes"] = at_checkpoints((seq.values - bayes_prediction_trace(seq, ns.C, ((ns.k, 1),))) ** 2)
 
     lines = [",".join(COMPARE_COLUMNS)]
     for i, nc in enumerate(checkpoints):
@@ -476,10 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_sequence: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, with_sequence: bool, with_chart: bool = False) -> None:
         p.add_argument("--config", help="flat key=value file; explicit flags override it")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for stochastic runs)")
-        p.add_argument("--delta", type=float, default=1.0, help="ridge regularizer (> 0)")
         p.add_argument("--A", type=float, default=1.0, help="amplitude bound for generated sequences")
         p.add_argument(
             "--class", dest="klass", choices=("univar", "monomial", "linear"), default="linear",
@@ -492,9 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trials")
         p.add_argument("--C", type=float, default=1.0, help="beta prior parameter of the adversary")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-        p.add_argument("--svg", action="store_true", help="also write a chart next to --out")
-        p.add_argument("--clip", action="store_true", help="clamp online predictions to [-A, A]")
+        if with_chart:
+            p.add_argument("--svg", action="store_true", help="also write a chart next to --out")
         if with_sequence:
+            p.add_argument("--delta", type=float, default=1.0, help="ridge regularizer (> 0)")
+            p.add_argument("--clip", action="store_true", help="clamp online predictions to [-A, A]")
             p.add_argument("--input", default=None, help="sequence file (one real per line, optional '# A=' header)")
             p.add_argument(
                 "--family", choices=("zero", "sinusoid", "walk", "adversarial"), default="sinusoid",
@@ -502,11 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_regret = sub.add_parser("regret", help="one online run + regret certificate")
-    add_common(p_regret, with_sequence=True)
+    add_common(p_regret, with_sequence=True, with_chart=True)
     p_regret.set_defaults(func=cmd_regret)
 
     p_lower = sub.add_parser("lowerbound", help="Monte-Carlo regret floor on a horizon grid")
-    add_common(p_lower, with_sequence=False)
+    add_common(p_lower, with_sequence=False, with_chart=True)
     p_lower.set_defaults(func=cmd_lowerbound)
 
     p_compare = sub.add_parser("compare", help="universal vs LMS vs RLS (vs Bayes on two-valued data)")

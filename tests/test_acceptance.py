@@ -236,7 +236,7 @@ def exact_floor(n: int, A: float, beta_C: float = 1.0) -> float:
         flips = (n - 1) - stays
         weight = math.exp(betaln(stays + beta_C, flips + beta_C) - betaln(beta_C, beta_C))
         weight_sum += weight
-        preds = bayes_prediction_trace(x, beta_C, 1)
+        preds = bayes_prediction_trace(BoundedSequence(x, A), beta_C, ((1, 1),))
         bayes_loss = float(np.sum((x - preds) ** 2))
         _, hindsight = batch_solve(spec, BoundedSequence(x, A), 0.0)
         total += weight * (bayes_loss - hindsight)
@@ -376,7 +376,7 @@ def test_criterion_8_posterior_mean_predictor():
         for _ in range(200):
             x = np.where(rng.random(12) < 0.5, 1.0, -1.0)
             t = 12
-            positions = np.arange(t % k + k, t, k)
+            positions = np.arange(k, t)
             stays = int(np.sum(x[positions] == x[positions - k]))
             flips = int(positions.size) - stays
             oracle = (2.0 * posterior_mean_enumerated(stays, flips, C) - 1.0) * x[t - k]

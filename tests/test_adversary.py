@@ -18,7 +18,6 @@ from seqregret import (
     estimate_lower_bound,
     generate,
     linear_lag,
-    monomial_bayes_prediction_trace,
     sample_theta,
     transition_posterior_check,
     univariate_poly,
@@ -202,12 +201,13 @@ def test_bayes_prediction_examples():
     # one observed flip: theta_hat = 1/3, prediction (-1/3) * (-A) = A/3
     two_flip = BoundedSequence(np.array([A, -A]), A)
     assert bayes_predict(two_flip, 1.0, 1) == pytest.approx(A / 3)
-    # lag 2: only the same-parity subchain counts
+    # lag 2: one theta drives both subchains, so every transition counts;
+    # one stay (q = 2) and one flip (q = 3) give theta_hat = 1/2
     four = BoundedSequence(np.array([A, A, A, -A]), A)
-    assert bayes_predict(four, 1.0, 2) == pytest.approx(A / 3)
-    # no completed transition in the target's subchain yet
+    assert bayes_predict(four, 1.0, 2) == 0.0
+    # the stay at q = 2 informs the other subchain: (1/3) * x[1]
     three = BoundedSequence(np.array([A, -A, A]), A)
-    assert bayes_predict(three, 1.0, 2) == 0.0
+    assert bayes_predict(three, 1.0, 2) == pytest.approx(-A / 3)
 
 
 def test_bayes_prediction_rejects_bad_input():
@@ -227,7 +227,7 @@ def test_bayes_prediction_matches_integral_ratio_oracle(k, C, seed):
     values = np.where(rng.random(60) < 0.5, 1.0, -1.0) * 0.6
     for t in range(k, 61):
         hist = BoundedSequence(values[:t], 0.6)
-        positions = np.arange(t % k + k, t, k)
+        positions = np.arange(k, t)
         stays = int(np.sum(values[positions] == values[positions - k]))
         flips = positions.size - stays
         oracle = (2.0 * posterior_mean_by_integral(stays, flips, C) - 1.0) * values[t - k]
@@ -246,7 +246,7 @@ def test_bayes_prediction_magnitude_below_bound(seed):
 def test_trace_matches_per_step_predictions(k):
     rng = np.random.default_rng(10 + k)
     values = np.where(rng.random(50) < 0.4, 1.0, -1.0)
-    trace = bayes_prediction_trace(values, 1.5, k)
+    trace = bayes_prediction_trace(BoundedSequence(values, 1.0), 1.5, ((k, 1),))
     for t in range(50):
         step = bayes_predict(BoundedSequence(values[:t], 1.0), 1.5, k)
         assert trace[t] == step  # identical arithmetic, bit-exact
@@ -257,7 +257,7 @@ def test_monomial_trace_matches_counting_oracle():
     A = 0.5
     mono = ((1, 1), (2, 1))
     values = np.where(rng.random(30) < 0.5, 1.0, -1.0) * A
-    trace = monomial_bayes_prediction_trace(values, A, 1.0, mono)
+    trace = bayes_prediction_trace(BoundedSequence(values, A), 1.0, mono)
     assert trace[0] == 0.0 and trace[1] == 0.0
     agrees = total = 0
     for t in range(2, 30):
@@ -266,6 +266,61 @@ def test_monomial_trace_matches_counting_oracle():
         assert trace[t] == pytest.approx((2 * theta_hat - 1) * ref, abs=1e-14)
         agrees += int(values[t] == ref)
         total += 1
+
+
+def law_weight(x, reference, C):
+    """Beta-mixed likelihood B(S + C, F + C) / B(C, C) of a +-A sequence under the
+    sign-flip law: S and F count, over every q >= the reference's memory, the
+    samples that agree / disagree in sign with the reference monomial at q."""
+    mem = max(lag for lag, _ in reference)
+    agree = [
+        (x[q] > 0) == (math.prod(x[q - lag] ** exp for lag, exp in reference) > 0) for q in range(mem, len(x))
+    ]
+    S = sum(agree)
+    return math.exp(betaln(S + C, len(agree) - S + C) - betaln(C, C))
+
+
+@pytest.mark.parametrize("C", [0.5, 2.5])
+@pytest.mark.parametrize(
+    "reference", [((1, 1),), ((2, 1),), ((3, 1),), ((1, 1), (2, 1))], ids=["lag1", "lag2", "lag3", "x1x2"]
+)
+def test_trace_is_the_conditional_mean_of_the_law(reference, C):
+    # every sequence of length <= 10 whose first `memory` samples are +A; entry t
+    # must be E[x_t | x_<t] = A (w(x_<t, +A) - w(x_<t, -A)) / (w(x_<t, +A) + w(x_<t, -A))
+    A = 0.6
+    mem = max(lag for lag, _ in reference)
+    checked = 0
+    for n in range(mem + 1, 11):
+        for tail in product((A, -A), repeat=n - mem):
+            x = (A,) * mem + tail
+            trace = bayes_prediction_trace(BoundedSequence(np.array(x), A), C, reference)
+            for t in range(mem, n):
+                w_plus = law_weight(x[:t] + (A,), reference, C)
+                w_minus = law_weight(x[:t] + (-A,), reference, C)
+                assert trace[t] == pytest.approx(A * (w_plus - w_minus) / (w_plus + w_minus), abs=1e-12)
+                checked += 1
+    assert checked == sum((n - mem) * 2 ** (n - mem) for n in range(mem + 1, 11))
+
+
+def test_trace_refuses_values_off_the_two_levels():
+    with pytest.raises(ValueError, match="\\{\\+A, -A\\}"):
+        bayes_prediction_trace(BoundedSequence(np.array([1.0, 0.5, -1.0]), 1.0), 1.0, ((1, 1),))
+
+
+def test_spec_reference_is_the_monomial_the_law_flips():
+    assert lag_spec(lag_k=3).reference == ((3, 1),)
+    mono = lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=((1, 1), (3, 2)))
+    assert mono.reference == ((1, 1), (3, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lag_k_floor_matches_the_lag_1_floor(k):
+    # one theta drives every transition at any lag, so the Bayes floor does not
+    # depend on k beyond its k startup steps (a per-subchain posterior read ~2x)
+    lag1 = estimate_lower_bound(lag_spec(seed=7), [64, 256], trials=300)
+    lagk = estimate_lower_bound(lag_spec(seed=7, lag_k=k), [64, 256], trials=300)
+    for a, b in zip(lag1.rows, lagk.rows):
+        assert abs(a.mean_regret - b.mean_regret) <= 3 * math.hypot(a.std_error, b.std_error)
 
 
 # ----------------------------------------------------------- the exact law

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import time
 
 import numpy as np
@@ -549,3 +550,180 @@ def test_config_cannot_supply_the_subcommand(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n=8\n")
     assert run_cli("--config", str(cfg)) == 2
+
+
+# ---------------------------------------------------- flags a command reads
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--class", "univar"), "no univar adversary"),
+        (("--class", "monomial", "--m", "3"), "--m and --k do not apply"),
+        (("--class", "monomial", "--k", "2"), "--m and --k do not apply"),
+    ],
+    ids=["univar", "monomial-m", "monomial-k"],
+)
+def test_lowerbound_refuses_class_settings_it_would_ignore(flags, named, capsys):
+    # univar used to run the lag-1 floor, and monomial its fixed x[t-1]*x[t-2]
+    # whatever --m and --k said, both with exit 0
+    assert run_cli("lowerbound", "--seed", "7", "--n", "256", "--trials", "50", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("flags", [("--delta", "2"), ("--clip",)], ids=["delta", "clip"])
+def test_lowerbound_has_no_ridge_flags(flags, capsys):
+    assert run_cli("lowerbound", "--seed", "7", "--n", "16", "--trials", "4", *flags) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identity", "compare"])
+def test_svg_is_a_usage_error_where_nothing_is_charted(command, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    base = (command, "--family", "sinusoid", "--seed", "1", "--n", "16", "--trials", "4", "--out", str(out))
+    assert run_cli(*base) == 0
+    out.unlink()
+    assert run_cli(*base, "--svg") == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    cfg = tmp_path / "svg.cfg"
+    cfg.write_text("svg=true\n")
+    assert run_cli(*base, "--config", str(cfg)) == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("*.svg"))
+
+
+def test_lowerbound_svg_written_next_to_csv(tmp_path):
+    out = tmp_path / "floor.csv"
+    assert run_cli("lowerbound", "--seed", "3", "--n", "256", "--trials", "6", "--out", str(out), "--svg") == 0
+    assert (tmp_path / "floor.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_undecodable_files_exit_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"0.5\n\xe9\n")
+    assert run_cli("regret", "--input", str(bad)) == 2
+    assert f"cannot read sequence file {bad}" in capsys.readouterr().err
+    assert run_cli("regret", "--config", str(bad)) == 2
+    assert f"cannot read config file {bad}" in capsys.readouterr().err
+
+
+# ----------------------------------------- fuzzed sequence and config files
+
+
+def assert_clean_exit(argv, cwd):
+    """cli.main exits 0, 1 or 2 without a traceback, and its stdout is CSV or empty."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)  # a stray relative --out lands in the scratch directory
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if text:
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0].count(",") > 0, text
+        assert all(line.count(",") == lines[0].count(",") for line in lines), text
+    return code
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", "-", "1e999", "-1e-999", "0x10", "1_0", "nan", "+inf", "1e308", "５"]),
+)
+# text lines without '=' or newlines, so a fuzzed config line never names a flag
+JUNK_LINE = st.text(st.characters(blacklist_characters="=\n\r", blacklist_categories=("Cs",)), max_size=12)
+
+SAMPLE_TEXT = st.floats(-2.0, 2.0).map(repr)
+SEQUENCE_LINE = st.one_of(
+    SAMPLE_TEXT,
+    SAMPLE_TEXT,
+    SAMPLE_TEXT.map(lambda v: f"  {v}\t"),
+    NUMBER_TEXT,
+    NUMBER_TEXT.map(lambda v: f"# A={v}"),
+    NUMBER_TEXT.map(lambda v: f"#A = {v}  "),
+    JUNK_LINE.map(lambda v: "#" + v),
+    JUNK_LINE,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(SEQUENCE_LINE, max_size=40),
+    raw=st.one_of(st.none(), st.binary(max_size=64)),
+    command=st.sampled_from(["regret", "compare"]),
+    klass=st.sampled_from(["linear", "univar", "monomial"]),
+    m=st.integers(1, 3),
+)
+def test_fuzzed_sequence_files_exit_cleanly(tmp_path_factory, lines, raw, command, klass, m):
+    work = tmp_path_factory.mktemp("seqfuzz")
+    path = work / "seq.txt"
+    if raw is None:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        path.write_bytes(raw)
+    assert_clean_exit([command, "--input", str(path), "--class", klass, "--m", str(m)], work)
+
+
+# keys the config may name, with values that keep every run small; out, input
+# and config (and their prefixes) are left out so a run writes no stray files
+SMALL_INT_TEXT = st.one_of(st.integers(2, 64).map(str), st.integers(-3, 64).map(str),
+                           st.sampled_from(["", "x", "1.5", "1e3", "-0"]))
+CONFIG_VALUES = {
+    "n": SMALL_INT_TEXT,
+    "m": st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["", "two"])),
+    "k": st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "1.0"])),
+    "trials": SMALL_INT_TEXT,
+    "seed": st.one_of(st.integers(-2, 2 ** 64 + 1).map(str), st.sampled_from(["", "seed"])),
+    "delta": st.one_of(st.floats(1e-3, 1e3).map(repr), NUMBER_TEXT),
+    "A": st.one_of(st.floats(1e-3, 1e3).map(repr), NUMBER_TEXT),
+    "C": st.one_of(st.floats(0.05, 50).map(repr), st.sampled_from(["0", "-1", "nan", "inf", ""])),
+    "class": st.sampled_from(["linear", "univar", "monomial", "poly", ""]),
+    "family": st.sampled_from(["zero", "sinusoid", "walk", "adversarial", "noise"]),
+    "mu": st.one_of(st.floats(1e-4, 1.0).map(repr), NUMBER_TEXT),
+    "forgetting": st.one_of(st.floats(0.5, 1.0).map(repr), NUMBER_TEXT),
+    "svg": st.sampled_from(["true", "false", "on", "0", "maybe", ""]),
+    "clip": st.sampled_from(["true", "no", "YES", "2"]),
+    "wibble": NUMBER_TEXT,
+}
+CONFIG_ENTRY = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(
+        st.sampled_from([key, key, f" {key} ", key.upper(), f"--{key}"]),
+        CONFIG_VALUES[key],
+        st.sampled_from(["", "  # note", "#"]),
+    ).map(lambda t: f"{t[0]}={t[1]}{t[2]}")
+)
+CONFIG_LINE = st.one_of(
+    CONFIG_ENTRY,
+    CONFIG_ENTRY,
+    CONFIG_ENTRY,
+    JUNK_LINE,
+    JUNK_LINE.map(lambda v: "#" + v + "=x"),
+    st.just("=1"),
+)
+EXPLICIT_FLAGS = st.lists(
+    st.sampled_from([("--n", "12"), ("--seed", "4"), ("--m", "2"), ("--trials", "3"), ("--k", "2"),
+                     ("--class", "univar"), ("--family", "walk"), ("--svg",), ("--clip",)]),
+    max_size=3,
+).map(lambda pairs: [a for pair in pairs for a in pair])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(CONFIG_LINE, max_size=8),
+    command=st.sampled_from(["regret", "compare", "lowerbound"]),
+    explicit=EXPLICIT_FLAGS,
+    seeded=st.booleans(),
+)
+def test_fuzzed_config_files_splice_and_exit_cleanly(tmp_path_factory, lines, command, explicit, seeded):
+    work = tmp_path_factory.mktemp("cfgfuzz")
+    cfg = work / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    seed = ["--seed", "5"] if seeded else []
+    assert_clean_exit([command, *seed, "--config", str(cfg), *explicit], work)
