@@ -210,16 +210,16 @@ def svg_path_for(out: str | None) -> str:
 
 # ------------------------------------------------------------------ commands
 
-def bound_trace(spec: FeatureSpec, seq: BoundedSequence, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prefix certified loss and certificate value, for charting, from one `run_online` trace.
+def bound_trace(run: OnlineRunResult, seq: BoundedSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Per-prefix certified loss and certificate value of an unclipped `run_online(spec, seq, delta)`.
 
     Returns (cumulative damped loss at each t, penalized hindsight objective
     at prefix t plus A^2 * sum_{s<=t} ln(1 + leverage_s)); the second majorizes
     the first at every prefix under the certified convention.  The objective
     grows at step t by e_t^2 / (1 + leverage_t), e_t = x_t - plain_t (the RLS
     a-priori error identity): a sum of nonnegative terms, which cannot cancel.
+    The identity needs the plain predictions, so a clipped run does not serve.
     """
-    run = run_online(spec, seq, delta)
     x = seq.values
     objective = np.cumsum((x - run.predictions) ** 2 / (1.0 + run.leverage))
     certificate = objective + seq.bound_A ** 2 * np.cumsum(np.log1p(run.leverage))
@@ -234,13 +234,11 @@ def cmd_regret(ns: argparse.Namespace) -> int:
     lines = [",".join(RegretReport.CSV_COLUMNS), ",".join(report.csv_row())]
     write_text(ns.out, "\n".join(lines) + "\n")
     if ns.svg:
-        steps = [float(t) for t in range(1, len(seq) + 1)]
-        cum_damped, certificate = bound_trace(spec, seq, ns.delta)
+        steps = np.arange(1.0, len(seq) + 1)
+        unclipped = run_online(spec, seq, ns.delta) if ns.clip else run  # bound_trace reads plain predictions
+        cum_damped, certificate = bound_trace(unclipped, seq)
         chart = line_chart(
-            [
-                ("certified loss", steps, [float(v) for v in cum_damped]),
-                ("certificate", steps, [float(v) for v in certificate]),
-            ],
+            [("certified loss", steps, cum_damped), ("certificate", steps, certificate)],
             title=f"cumulative certified loss vs certificate ({spec.label}, m={spec.order_m})",
             x_label="t",
             y_label="cumulative squared error",
@@ -319,8 +317,11 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     losses = {
         "universal": at_checkpoints(run_online(spec, seq, ns.delta, clip=ns.clip).per_step_losses),
         "lms": at_checkpoints(run_lms(spec, seq, mu).per_step_losses),
-        "rls": at_checkpoints(run_rls(spec, seq, ns.delta, forgetting=ns.forgetting).per_step_losses),
     }
+    if ns.forgetting == 1.0 and not ns.clip:  # RLS at lambda = 1 is the unclipped universal run bitwise
+        losses["rls"] = losses["universal"]
+    else:
+        losses["rls"] = at_checkpoints(run_rls(spec, seq, ns.delta, forgetting=ns.forgetting).per_step_losses)
     if two_valued:
         losses["bayes"] = at_checkpoints((seq.values - bayes_prediction_trace(seq, ns.C, ((ns.k, 1),))) ** 2)
 
@@ -471,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_sequence: bool, with_chart: bool = False) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, with_sequence: bool, with_chart: bool = False, with_trials: bool = False
+    ) -> None:
         p.add_argument("--config", help="flat key=value file; explicit flags override it")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for stochastic runs)")
         p.add_argument("--A", type=float, default=1.0, help="amplitude bound for generated sequences")
@@ -483,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=1, help="number of features")
         p.add_argument("--k", type=int, default=1, help="prediction lookahead / adversary lag")
         p.add_argument("--n", type=int, default=256, help="sequence length / top of horizon grid")
-        p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trials")
+        if with_trials:
+            p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trials")
         p.add_argument("--C", type=float, default=1.0, help="beta prior parameter of the adversary")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
         if with_chart:
@@ -502,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regret.set_defaults(func=cmd_regret)
 
     p_lower = sub.add_parser("lowerbound", help="Monte-Carlo regret floor on a horizon grid")
-    add_common(p_lower, with_sequence=False, with_chart=True)
+    add_common(p_lower, with_sequence=False, with_chart=True, with_trials=True)
     p_lower.set_defaults(func=cmd_lowerbound)
 
     p_compare = sub.add_parser("compare", help="universal vs LMS vs RLS (vs Bayes on two-valued data)")
@@ -513,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_identity = sub.add_parser("identity", help="evidence + randomization identity checks")
-    add_common(p_identity, with_sequence=True)
+    add_common(p_identity, with_sequence=True, with_trials=True)
     p_identity.set_defaults(func=cmd_identity)
 
     return parser
@@ -522,10 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config(argv: list[str], ns: argparse.Namespace) -> list[str]:
     """`argv` with the entries of config file `ns.config` spliced in as flags ahead
     of the explicit ones, which override them: 'svg=true' style booleans become
-    bare flags, everything else --key=value."""
+    bare flags, everything else --key=value.  A boolean for a flag the command
+    lacks is refused whatever its value, as the bare flag would be."""
     synthesized: list[str] = []
     for key, value in read_config_file(ns.config).items():
         if key in ("svg", "clip"):
+            if not hasattr(ns, key):
+                raise InputFileError(
+                    f"config key {key!r}: unrecognized arguments: --{key} ({ns.command} has no such flag)"
+                )
             if value.lower() in ("1", "true", "yes", "on"):
                 synthesized.append(f"--{key}")
             elif value.lower() not in ("0", "false", "no", "off"):

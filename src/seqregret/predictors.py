@@ -232,30 +232,39 @@ def run_online(
 
 def run_lms(spec: FeatureSpec, seq: BoundedSequence, step_size: float) -> OnlineRunResult:
     """Gradient baseline: w <- w + step_size * error * f, weights start at 0.  A step size
-    above the stability limit 2 / |f_t|^2 of some step (the update amplifies the error) raises ValueError."""
+    above the stability limit 2 / |f_t|^2 of some step (the update amplifies the error) raises
+    ValueError, and so does a prediction, loss or weight that overflows.
+
+    The recursion steps on Python floats; each prediction sums w_i f_i left to right,
+    so it can differ from a BLAS dot product in the last bit where that fuses multiply-adds.
+    """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
     if not 0.0 <= step_size < np.inf:
         raise ValueError("step_size must be nonnegative and finite")
     F = feature_matrix(spec, seq)
     x = seq.values
-    n = len(seq)
-    w = np.zeros(spec.order_m)
-    preds = np.empty(n)
-    losses = np.empty(n)
     with np.errstate(over="raise", invalid="raise"):
         energy = np.einsum("ij,ij->i", F, F)
         if step_size * energy.max() > 2.0:
             t = int(np.argmax(energy))
             raise ValueError(f"LMS step size mu={step_size!r} is unstable on this sequence: mu |f_t|^2 > 2 at "
                              f"step {t + 1}, where the update amplifies the error (stable for mu <= {2.0 / energy[t]})")
-        for t in range(n):
-            f = F[t]
-            pred = float(w @ f)
-            err = x[t] - pred
-            preds[t] = pred
-            losses[t] = err ** 2
-            w = w + step_size * err * f
+    w = [0.0] * spec.order_m
+    preds = []
+    for f, x_t in zip(F.tolist(), x.tolist()):
+        pred = 0.0
+        for wi, fi in zip(w, f):
+            pred += wi * fi
+        c = step_size * (x_t - pred)
+        w = [wi + c * fi for wi, fi in zip(w, f)]
+        preds.append(pred)
+    preds = np.array(preds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = (x - preds) ** 2
+    if not (np.isfinite(losses).all() and np.isfinite(w).all()):
+        raise ValueError(f"LMS step size mu={step_size!r} overflows on this sequence: "
+                         f"a prediction, loss or weight is not finite")
     return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)
 
 

@@ -7,7 +7,9 @@ yields byte-identical markup.
 
 from __future__ import annotations
 
-import math
+from typing import Sequence
+
+import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 28, 44
@@ -15,6 +17,15 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 28, 44
 
 def _num(v: float) -> str:
     return f"{float(v):.6g}"
+
+
+def _range(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) of `values`; a flat range is widened to span 1, or |min| where
+    adding 1 would not move it (a zero span would divide by zero)."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -25,36 +36,39 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def line_chart(
-    series: list[tuple[str, list[float], list[float]]],
+    series: list[tuple[str, Sequence[float] | np.ndarray, Sequence[float] | np.ndarray]],
     title: str,
     x_label: str,
     y_label: str,
     width: int = 640,
     height: int = 400,
 ) -> str:
-    """Render labeled (xs, ys) polylines into a standalone SVG document."""
+    """Render labeled (xs, ys) polylines into a standalone SVG document.
+
+    Each series' xs and ys may be lists or arrays; a polyline pairs them up to
+    the shorter of the two.
+    """
     if not series:
         raise ValueError("need at least one series")
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for _, xs, ys in series]
+    xs_all = np.concatenate([xs for xs, _ in columns])
+    ys_all = np.concatenate([ys for _, ys in columns])
+    if not xs_all.size:
         raise ValueError("series contain no points")
-    if any(not (math.isfinite(v)) for v in xs_all + ys_all):
+    if not (np.isfinite(xs_all).all() and np.isfinite(ys_all).all()):
         raise ValueError("chart data must be finite")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _range(xs_all)
+    y_lo, y_hi = _range(ys_all)
     plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
 
-    def sx(x: float) -> float:
+    # scalars (ticks) and whole arrays (polylines) take the same operations in
+    # the same order, so a point lands on the same double either way
+    def sx(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def sy(y):
+        return (MARGIN_TOP + plot_h) - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -79,9 +93,13 @@ def line_chart(
         f'<text x="14" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
         f'transform="rotate(-90 14 {MARGIN_TOP + plot_h // 2})">{y_label}</text>'
     )
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_num(sx(x))},{_num(sy(y))}" for x, y in zip(xs, ys))
+        n = min(xs.size, ys.size)
+        coords = np.empty(2 * n)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow prints inf, as Python floats do
+            coords[0::2], coords[1::2] = sx(xs[:n]), sy(ys[:n])
+        points = ("%.6g,%.6g " * n % tuple(coords.tolist()))[:-1]  # "%.6g" formats like _num
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = MARGIN_TOP + 14 + 14 * i
         lx = MARGIN_LEFT + plot_w - 150

@@ -1,0 +1,75 @@
+"""The benchmark's traced run keeps working: its wrappers fit the program's signatures.
+
+`perfbench/tracing.py` wraps the public functions of each layer and reads their
+arguments by position (for example `len(args[1])` of `cli.bound_trace` is the
+step count).  These tests run two of the `long` workload's commands at a small
+size under those wrappers, so a signature change that would break a traced
+benchmark run fails here first.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
+from seqregret import cli  # noqa: E402
+
+N = 512
+
+
+def bindings():
+    """Every attribute of every module the tracer patches, by dotted name."""
+    return {f"{mod.__name__}.{attr}": value for mod in tracing._modules() for attr, value in vars(mod).items()}
+
+
+def span_work(rec, name):
+    spans = rec.arrays()
+    nid = rec.names.index(name)
+    return spans["work"][spans["name_id"] == nid].tolist()
+
+
+@pytest.fixture
+def traced_main():
+    """cli.main run under the tracer; yields (run, recorder), then checks every binding is restored."""
+    before = bindings()
+    rec = tracing.Recorder()
+    with tracing.traced(rec) as patched:
+
+        def run(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            assert code == 0, err.getvalue()
+            return out.getvalue()
+
+        assert "seqregret.cli.bound_trace" in patched and "seqregret.cli.run_online" in patched
+        yield run, rec
+    after = bindings()
+    for name in patched:
+        assert after[name] is before[name], name
+
+
+def test_traced_regret_svg_counts_the_bound_trace_steps(traced_main, tmp_path):
+    run, rec = traced_main
+    run("regret", "--family", "sinusoid", "--n", str(N), "--m", "4", "--out", str(tmp_path / "r.csv"), "--svg")
+    assert span_work(rec, "cli.bound_trace") == [N]
+    assert span_work(rec, "predictors.run_online") == [N]
+    assert span_work(rec, "svgchart.line_chart") == [2 * N]
+
+
+def test_traced_compare_runs_the_ridge_engine_once(traced_main):
+    run, rec = traced_main
+    out = run("compare", "--family", "adversarial", "--seed", "1", "--n", str(N), "--m", "2")
+    assert out.splitlines()[0].startswith("algo,")
+    assert span_work(rec, "predictors.run_online") == [N]
+    assert span_work(rec, "predictors.run_lms") == [N]
+    assert "predictors.run_rls" not in rec.names
+    metrics = tracing.layer_metrics(rec, 1.0, N)
+    assert metrics["cli.compare.rerun_ratio"] == pytest.approx(2 / 3)
+    assert np.isfinite(list(metrics.values())).all()

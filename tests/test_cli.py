@@ -239,7 +239,7 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
 def test_bound_trace_ends_at_the_report_and_majorizes_every_prefix(spec):
     rng = np.random.default_rng(4)
     seq = BoundedSequence(np.clip(np.cumsum(rng.normal(0, 0.2, 600)), -1, 1), 1.0)
-    cum_damped, certificate = bound_trace(spec, seq, 0.5)
+    cum_damped, certificate = bound_trace(run_online(spec, seq, 0.5), seq)
     # oracle at the full horizon: the batch-side regret report
     report = regret_report(spec, seq, 0.5, run_online(spec, seq, 0.5))
     assert cum_damped[-1] == pytest.approx(report.bound_loss, rel=1e-10)
@@ -256,7 +256,7 @@ def test_bound_trace_certificate_matches_an_augmented_least_squares_oracle():
     # recurrence, so the penalized objective stays O(1) while sum x^2 grows with n
     ns = cli.build_parser().parse_args(["regret", "--family", "sinusoid", "--n", "16384", "--m", "4"])
     spec, seq, delta = cli.build_feature_spec(ns), cli.build_sequence(ns), 1.0
-    _, certificate = bound_trace(spec, seq, delta)
+    _, certificate = bound_trace(run_online(spec, seq, delta), seq)
     F, x = feature_matrix(spec, seq), seq.values
     worst = 0.0
     for t in range(256, len(seq) + 1, 256):
@@ -423,6 +423,69 @@ def test_compare_includes_bayes_only_on_two_valued_data(tmp_path):
     assert sorted({r["algo"] for r in rows}) == ["bayes", "lms", "rls", "universal"]
 
 
+def record_calls(monkeypatch, name):
+    """Replace cli.<name> with a pass-through that records (args, kwargs, result) per call."""
+    calls = []
+    real = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+REGRET_SVG = ("regret", "--family", "adversarial", "--seed", "4", "--n", "700", "--m", "3", "--delta", "0.1", "--svg")
+
+
+def test_regret_svg_charts_the_run_it_already_made(tmp_path, monkeypatch):
+    ns = cli.build_parser().parse_args(list(REGRET_SVG))
+    spec, seq = cli.build_feature_spec(ns), cli.build_sequence(ns)
+    fresh = run_online(spec, seq, ns.delta)
+    # the chosen run overshoots [-A, A], so --clip changes the run regret reports
+    assert np.any(np.abs(fresh.predictions) > seq.bound_A)
+    steps = np.arange(1.0, len(seq) + 1)
+    cum_damped, certificate = bound_trace(fresh, seq)
+    expected = cli.line_chart(
+        [("certified loss", steps, cum_damped), ("certificate", steps, certificate)],
+        title=f"cumulative certified loss vs certificate ({spec.label}, m={spec.order_m})",
+        x_label="t",
+        y_label="cumulative squared error",
+    )
+    for extra, engine_runs in (((), 1), (("--clip",), 2)):
+        calls = record_calls(monkeypatch, "run_online")
+        out = tmp_path / f"run{len(extra)}.csv"
+        assert run_cli(*REGRET_SVG, *extra, "--out", str(out)) == 0
+        assert len(calls) == engine_runs, extra
+        # the chart reads an unclipped run whether or not the report's run is clipped
+        assert (tmp_path / f"run{len(extra)}.svg").read_text(encoding="utf-8") == expected, extra
+
+
+COMPARE = ("compare", "--family", "adversarial", "--seed", "4", "--n", "700", "--m", "3", "--delta", "0.1")
+
+
+@pytest.mark.parametrize(
+    "extra, runs_rls",
+    [((), False), (("--clip",), True), (("--forgetting", "0.99"), True), (("--forgetting", "0.99", "--clip"), True)],
+)
+def test_compare_runs_rls_only_where_it_is_not_the_universal_run(extra, runs_rls, capsys, monkeypatch):
+    calls = record_calls(monkeypatch, "run_rls")
+    assert run_cli(*COMPARE, *extra) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert len(calls) == int(runs_rls)
+    rls = [r for r in rows if r["algo"] == "rls"]
+    if runs_rls:
+        per_step = calls[0][2].per_step_losses
+        assert [r["loss"] for r in rls] == [repr(float(np.sum(per_step[:int(r["n"])]))) for r in rls]
+    else:
+        assert [dict(r, algo="") for r in rls] == [dict(r, algo="") for r in rows if r["algo"] == "universal"]
+    if extra == ("--clip",):
+        # clipping moves the universal rows here, so reused rows would have been wrong
+        assert [r["loss"] for r in rls] != [r["loss"] for r in rows if r["algo"] == "universal"]
+
+
 # ------------------------------------------------------------------ identity
 
 
@@ -582,7 +645,8 @@ def test_lowerbound_has_no_ridge_flags(flags, capsys):
 @pytest.mark.parametrize("command", ["identity", "compare"])
 def test_svg_is_a_usage_error_where_nothing_is_charted(command, tmp_path, capsys):
     out = tmp_path / "c.csv"
-    base = (command, "--family", "sinusoid", "--seed", "1", "--n", "16", "--trials", "4", "--out", str(out))
+    trials = ("--trials", "4") if command == "identity" else ()
+    base = (command, "--family", "sinusoid", "--seed", "1", "--n", "16", *trials, "--out", str(out))
     assert run_cli(*base) == 0
     out.unlink()
     assert run_cli(*base, "--svg") == 2
@@ -594,10 +658,44 @@ def test_svg_is_a_usage_error_where_nothing_is_charted(command, tmp_path, capsys
     assert not out.exists() and not list(tmp_path.glob("*.svg"))
 
 
+@pytest.mark.parametrize("command", ["regret", "compare"])
+def test_trials_is_a_usage_error_where_nothing_is_drawn(command, tmp_path, capsys):
+    # regret and compare run no Monte-Carlo trials; --trials used to be accepted and ignored
+    assert run_cli(command, "--n", "16", "--trials", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --trials 5" in captured.err
+    cfg = tmp_path / "trials.cfg"
+    cfg.write_text("trials=5\n")
+    assert run_cli(command, "--n", "16", "--config", str(cfg)) == 2
+    assert "unrecognized arguments: --trials=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("identity", "svg"), ("compare", "svg"), ("lowerbound", "clip")])
+def test_config_boolean_for_a_missing_flag_is_refused_at_any_value(command, key, tmp_path, capsys):
+    # 'svg=false' used to be dropped before argparse saw it, so it passed where 'svg=true' was refused
+    cfg = tmp_path / "flag.cfg"
+    for value in ("false", "true", "0"):
+        cfg.write_text(f"{key}={value}\n")
+        assert run_cli(command, "--seed", "1", "--n", "16", "--config", str(cfg)) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --{key}" in captured.err
+
+
 def test_lowerbound_svg_written_next_to_csv(tmp_path):
     out = tmp_path / "floor.csv"
     assert run_cli("lowerbound", "--seed", "3", "--n", "256", "--trials", "6", "--out", str(out), "--svg") == 0
     assert (tmp_path / "floor.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_lowerbound_svg_of_one_large_point(tmp_path):
+    # below n = 128 the chart has one point; at A = 1e10 its regret (~1e20) used to
+    # flatten the y range to zero width and end in a ZeroDivisionError traceback
+    out = tmp_path / "big.csv"
+    args = ("lowerbound", "--seed", "1", "--n", "16", "--trials", "4", "--A", "1e10", "--out", str(out), "--svg")
+    assert run_cli(*args) == 0
+    assert (tmp_path / "big.svg").read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_undecodable_files_exit_2_naming_the_file(tmp_path, capsys):

@@ -326,6 +326,117 @@ def test_lms_rejects_non_finite_and_unstable_steps(step):
         run_lms(linear_lag(1, 1), BoundedSequence(np.ones(3), 1.0), step)
 
 
+def numpy_lms(spec, seq, step_size):
+    """Oracle: the LMS recursion as a numpy loop, one BLAS dot product per prediction,
+    with every overflow raised by the error state."""
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    if not 0.0 <= step_size < np.inf:
+        raise ValueError("step_size must be nonnegative and finite")
+    F = feature_matrix(spec, seq)
+    x = seq.values
+    n = len(seq)
+    w = np.zeros(spec.order_m)
+    preds = np.empty(n)
+    losses = np.empty(n)
+    with np.errstate(over="raise", invalid="raise"):
+        energy = np.einsum("ij,ij->i", F, F)
+        if step_size * energy.max() > 2.0:
+            t = int(np.argmax(energy))
+            raise ValueError(f"LMS step size mu={step_size!r} is unstable on this sequence: mu |f_t|^2 > 2 at "
+                             f"step {t + 1}, where the update amplifies the error (stable for mu <= {2.0 / energy[t]})")
+        for t in range(n):
+            f = F[t]
+            pred = float(w @ f)
+            err = x[t] - pred
+            preds[t] = pred
+            losses[t] = err ** 2
+            w = w + step_size * err * f
+    return OnlineRunResult(predictions=preds, cumulative_loss=float(np.sum(losses)), per_step_losses=losses)
+
+
+def stable_step(spec, seq, fraction):
+    """A step size `fraction` of the way to the stability limit 2 / max |f_t|^2 (capped at 1e300)."""
+    top = float(np.max(np.sum(feature_matrix(spec, seq) ** 2, axis=1)))
+    return min(fraction * 2.0 / top, 1e300) if top > 0 else fraction
+
+
+def assert_lms_matches_bitwise(spec, seq, mu):
+    """Predictions equal the numpy loop's bitwise.  Losses are the correctly rounded squares
+    (x - p)^2 of those predictions; the loop squared each error by a scalar power, which
+    libm may round one unit in the last place away."""
+    run, oracle = run_lms(spec, seq, mu), numpy_lms(spec, seq, mu)
+    np.testing.assert_array_equal(run.predictions, oracle.predictions)
+    err = seq.values - oracle.predictions
+    np.testing.assert_array_equal(run.per_step_losses, err * err)
+    np.testing.assert_array_max_ulp(run.per_step_losses, oracle.per_step_losses, maxulp=1)
+
+
+# stable step sizes well away from 0, so the weights stay clear of the subnormal range
+STEP_FRACTION = st.one_of(st.just(0.0), st.floats(2.0 ** -20, 0.99))
+
+
+LMS_CLASSES = st.sampled_from(["linear", "univar", "monomial"])
+
+
+def lms_spec(klass, m):
+    if klass == "linear":
+        return linear_lag(1, m)
+    if klass == "univar":
+        return univariate_poly(m)
+    return monomial_features([{lag: 1 for lag in range(1, i + 1)} for i in range(1, m + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=200).map(np.array),
+    klass=LMS_CLASSES,
+    fraction=STEP_FRACTION,
+)
+def test_lms_is_the_numpy_loop_bitwise_at_one_feature(values, klass, fraction):
+    spec, seq = lms_spec(klass, 1), BoundedSequence(values, 3.0)
+    assert_lms_matches_bitwise(spec, seq, stable_step(spec, seq, fraction))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=300).map(np.array),
+    amplitude=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    m=st.integers(1, 8),
+    fraction=STEP_FRACTION,
+)
+def test_lms_is_the_numpy_loop_bitwise_on_two_valued_lag_windows(signs, amplitude, m, fraction):
+    # with f_i = +-A, A a power of two, every product w_i f_i is exact, so a fused
+    # multiply-add rounds each partial sum exactly as a multiply and an add do
+    spec, seq = linear_lag(1, m), BoundedSequence(amplitude * signs, amplitude)
+    assert_lms_matches_bitwise(spec, seq, stable_step(spec, seq, fraction))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=200).map(np.array),
+    klass=LMS_CLASSES,
+    m=st.integers(1, 8),
+    fraction=STEP_FRACTION,
+)
+def test_lms_matches_the_numpy_loop_to_the_last_bits(values, klass, m, fraction):
+    spec, seq = lms_spec(klass, m), BoundedSequence(values, 2.0)
+    mu = stable_step(spec, seq, fraction)
+    got, want = run_lms(spec, seq, mu).predictions, numpy_lms(spec, seq, mu).predictions
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_lms_overflow_is_refused_like_the_numpy_loop():
+    # mu |f|^2 = 1.9 is stable, but the third error, -2.9 a, squares past the float range
+    a = 1e154
+    seq = BoundedSequence(np.array([a, -a, -a]), a)
+    mu = 1.9 / a ** 2
+    with pytest.raises(FloatingPointError):
+        numpy_lms(linear_lag(1, 1), seq, mu)
+    with pytest.raises(ValueError, match="not finite"):
+        run_lms(linear_lag(1, 1), seq, mu)
+
+
 # ------------------------------------------------------------------- RLS
 
 
