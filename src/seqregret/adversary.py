@@ -82,6 +82,8 @@ class AdversarySpec:
             for lag, exp in self.monomial:
                 if lag < 1 or exp < 1:
                     raise ValueError(f"monomial terms need lag >= 1 and exponent >= 1, got {(lag, exp)}")
+            if len({lag for lag, _ in self.monomial}) != len(self.monomial):
+                raise ValueError("duplicate lag inside one monomial; merge exponents instead")
 
     @property
     def reference(self) -> Monomial:
@@ -127,30 +129,26 @@ def generate(spec: AdversarySpec, theta: float, rng: np.random.Generator) -> Bou
     The endpoints theta = 0 (always flip) and theta = 1 (always stay) are
     legal and deterministic; prior draws from :func:`sample_theta` stay in the
     open interval.
+
+    Both laws are one GF(2) recurrence: with x[t] = A * (-1)^b[t], b[t] = flip[t] XOR
+    b[t-l] over the reference's odd-exponent lags l.  So b = flips / g(z), g(z) = 1 + sum z^l,
+    and as g(z)^2 = g(z^2), 1/g(z) = prod_{i<j} g(z^(2^i)) mod z^m (m = n - memory) once
+    2^j >= m: ceil(log2 m) rounds of shifted XORs, a prefix scan in O(|odd lags| * n log n).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must be in [0, 1]")
-    n = spec.horizon_n
-    A = spec.bound_A
-    mem = spec.memory
-    x = np.empty(n)
-    x[: min(mem, n)] = A
-    if n <= mem:
-        return BoundedSequence(x, A)
-
-    signs = np.where(rng.random(n - mem) < theta, 1.0, -1.0)
-    if spec.kind is AdversaryKind.SIGN_FLIP_LAG:
-        k = spec.lag_k
-        for j in range(k):
-            chain = signs[j::k]
-            if chain.size:
-                x[j + k::k] = A * np.cumprod(chain)
-    else:
-        for i, t in enumerate(range(mem, n)):
-            ref = 1.0
-            for lag, exp in spec.monomial:
-                ref *= x[t - lag] ** exp
-            x[t] = signs[i] * math.copysign(A, ref)
+    n, A = spec.horizon_n, spec.bound_A
+    m = max(n - spec.memory, 0)  # samples after the all-+A prefix
+    lags = [lag for lag, exp in spec.reference if exp % 2]
+    bits = rng.random(m) >= theta  # flip bits: u < theta stays
+    shift = 1
+    while shift < m:
+        step = bits.copy()
+        for offset in (lag * shift for lag in lags if lag * shift < m):
+            step[offset:] ^= bits[:m - offset]
+        bits, shift = step, 2 * shift
+    x = np.full(n, A)
+    x[n - m:][bits] = -A
     return BoundedSequence(x, A)
 
 
@@ -260,6 +258,15 @@ def estimate_lower_bound(
         raise ValueError("trials must be >= 2 (one trial has no standard error)")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
+    # A gap lies in [-A^2 n, 4 A^2 n]: the standard error sums `trials` squared deviations of
+    # up to 5 A^2 n, and the slope fit one squared residual of at most that per horizon.
+    A, n_top = spec.bound_A, max(n_grid, default=0)
+    gap_range = 5.0 * A * A * n_top
+    if not math.isfinite(gap_range * gap_range * max(trials, len(n_grid))):
+        raise ValueError(
+            f"regret floor scale (5 A^2 n)^2 * max(trials, horizons) overflows "
+            f"(A={A!r}, n={n_top}, trials={trials}, horizons={len(n_grid)})"
+        )
     feature_spec = spec.matching_feature_spec(order_m)
     root = np.random.SeedSequence(spec.seed)
     per_n_seeds = root.spawn(len(n_grid))

@@ -2,10 +2,13 @@
 
 import math
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betaln
 
 from seqregret import (
@@ -92,6 +95,8 @@ def test_spec_validation():
         lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL)
     with pytest.raises(ValueError, match="lag >= 1"):
         lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=((0, 1),))
+    with pytest.raises(ValueError, match="duplicate lag inside one monomial"):
+        lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=((1, 1), (1, 1)))
 
 
 def test_spec_memory_and_matching_class():
@@ -186,6 +191,106 @@ def test_generate_monomial_even_exponent_reference_is_constant():
     spec = lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, lag_k=1, monomial=((1, 2),), horizon_n=6)
     seq = generate(spec, 1.0, np.random.default_rng(0))
     np.testing.assert_array_equal(seq.values, np.ones(6))
+
+
+def oracle_generate(spec, theta, rng):
+    """The two-branch generator the GF(2) prefix scan replaced, verbatim: a
+    cumprod per lag subchain, and a per-step loop over the monomial's sign."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must be in [0, 1]")
+    n = spec.horizon_n
+    A = spec.bound_A
+    mem = spec.memory
+    x = np.empty(n)
+    x[: min(mem, n)] = A
+    if n <= mem:
+        return BoundedSequence(x, A)
+
+    signs = np.where(rng.random(n - mem) < theta, 1.0, -1.0)
+    if spec.kind is AdversaryKind.SIGN_FLIP_LAG:
+        k = spec.lag_k
+        for j in range(k):
+            chain = signs[j::k]
+            if chain.size:
+                x[j + k::k] = A * np.cumprod(chain)
+    else:
+        for i, t in enumerate(range(mem, n)):
+            ref = 1.0
+            for lag, exp in spec.monomial:
+                ref *= x[t - lag] ** exp
+            x[t] = signs[i] * math.copysign(A, ref)
+    return BoundedSequence(x, A)
+
+
+def assert_generate_matches_oracle(spec, theta, seed):
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = generate(spec, theta, new_rng), oracle_generate(spec, theta, old_rng)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.bound_A == want.bound_A
+    assert new_rng.random() == old_rng.random()  # both consumed the same draws
+
+
+NEAR_POWERS_OF_TWO = sorted({2 ** j + d for j in range(1, 9) for d in (-1, 0, 1)})
+
+
+@st.composite
+def sign_flip_laws(draw):
+    """Lag k <= 5, or a reference monomial with memory <= 6 and exponents 1-3 (sometimes even only)."""
+    if draw(st.booleans()):
+        return dict(kind=AdversaryKind.SIGN_FLIP_LAG, lag_k=draw(st.integers(1, 5)))
+    lags = sorted(draw(st.sets(st.integers(1, 6), min_size=1)))
+    exps = st.just(2) if draw(st.integers(0, 3)) == 0 else st.integers(1, 3)
+    return dict(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=tuple((lag, draw(exps)) for lag in lags))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    law=sign_flip_laws(),
+    theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    A=st.sampled_from([0.5, 1.0, 3.0, 1e-200]),
+    n_pick=st.one_of(
+        st.integers(1, 300),
+        st.sampled_from(NEAR_POWERS_OF_TWO),
+        st.integers(-5, 0).map(lambda d: ("memory", d)),  # n <= memory
+        st.sampled_from(NEAR_POWERS_OF_TWO).map(lambda p: ("memory", p)),  # n - memory near 2^j
+    ),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_generate_is_bitwise_the_two_branch_oracle(law, theta, A, n_pick, seed):
+    spec = lag_spec(bound_A=A, **law)
+    if isinstance(n_pick, tuple):
+        n_pick = max(1, spec.memory + n_pick[1])
+    assert_generate_matches_oracle(replace(spec, horizon_n=n_pick), theta, seed)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.9, 1.0])
+def test_generate_memory_20_reference_matches_the_oracle(theta):
+    # at A = 1e-200 the oracle's reference product underflows to +-0 and copysign keeps its sign
+    reference = tuple((lag, 1 + lag % 3) for lag in range(1, 21))
+    for A in (1.0, 1e-200):
+        spec = lag_spec(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=reference, horizon_n=4096, bound_A=A)
+        assert spec.memory == 20
+        assert_generate_matches_oracle(spec, theta, 20)
+
+
+class FixedDraws:
+    """Stands in for a Generator whose one `random(size)` call returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
+def test_generate_draw_equal_to_theta_flips_as_in_the_oracle(theta):
+    u = [0.0, 0.25, 0.5, 0.75, 0.5, 0.25, 0.0, 0.5]
+    for law in (dict(lag_k=2), dict(kind=AdversaryKind.SIGN_FLIP_MONOMIAL, monomial=((1, 1), (2, 1)))):
+        spec = lag_spec(horizon_n=len(u) + 2, **law)
+        got = generate(spec, theta, FixedDraws(u)).values
+        np.testing.assert_array_equal(got, oracle_generate(spec, theta, FixedDraws(u)).values)
 
 
 # ------------------------------------------------------ conditional mean

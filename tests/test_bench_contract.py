@@ -2,9 +2,9 @@
 
 `perfbench/tracing.py` wraps the public functions of each layer and reads their
 arguments by position (for example `len(args[1])` of `cli.bound_trace` is the
-step count).  These tests run two of the `long` workload's commands at a small
-size under those wrappers, so a signature change that would break a traced
-benchmark run fails here first.
+step count).  These tests run two of the `long` workload's commands, and the
+monomial regret floor, at a small size under those wrappers, so a signature
+change that would break a traced benchmark run fails here first.
 """
 
 import contextlib
@@ -49,6 +49,7 @@ def traced_main():
             return out.getvalue()
 
         assert "seqregret.cli.bound_trace" in patched and "seqregret.cli.run_online" in patched
+        assert "seqregret.adversary.generate" in patched  # wrapped by name, on its home module
         yield run, rec
     after = bindings()
     for name in patched:
@@ -72,4 +73,17 @@ def test_traced_compare_runs_the_ridge_engine_once(traced_main):
     assert "predictors.run_rls" not in rec.names
     metrics = tracing.layer_metrics(rec, 1.0, N)
     assert metrics["cli.compare.rerun_ratio"] == pytest.approx(2 / 3)
+    assert np.isfinite(list(metrics.values())).all()
+
+
+def test_traced_monomial_floor_spans_one_generate_per_trial(traced_main):
+    run, rec = traced_main
+    trials = 3
+    out = run("lowerbound", "--class", "monomial", "--seed", "7", "--n", "256", "--trials", str(trials))
+    grid = [int(line.split(",")[0]) for line in out.splitlines()[1:-1]]
+    assert grid == [128, 256]
+    # one span per (horizon, trial), in draw order, each working on its horizon
+    assert span_work(rec, "adversary.generate") == [n for n in grid for _ in range(trials)]
+    metrics = tracing.layer_metrics(rec, 1.0, sum(grid) * trials)
+    assert metrics["adversary.generate.calls"] == trials * len(grid)
     assert np.isfinite(list(metrics.values())).all()

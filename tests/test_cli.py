@@ -698,6 +698,27 @@ def test_lowerbound_svg_of_one_large_point(tmp_path):
     assert (tmp_path / "big.svg").read_text(encoding="utf-8").startswith("<svg")
 
 
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+@pytest.mark.parametrize("amplitude", ["1e150", "1e154"])
+def test_lowerbound_refuses_an_overflowing_scale_before_any_trial(amplitude, svg, tmp_path, capsys):
+    # these used to write an inf std_error (1e150) or a nan mean_regret row (1e154) and exit 0
+    out = tmp_path / "big.csv"
+    args = ("lowerbound", "--seed", "1", "--n", "16", "--trials", "4", "--A", amplitude)
+    args += ("--out", str(out), "--svg") if svg else ()
+    assert run_cli(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "regret floor scale" in captured.err and "overflows" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lowerbound_large_but_representable_scale_runs(capsys):
+    assert run_cli("lowerbound", "--seed", "1", "--n", "16", "--trials", "4", "--A", "1e70") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert [row[0] for row in rows] == ["16"]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_undecodable_files_exit_2_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"0.5\n\xe9\n")
