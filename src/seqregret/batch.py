@@ -43,7 +43,8 @@ def batch_solve(
     singular values below ``PSEUDO_RANK_TOL`` times the largest as zero.  The
     returned loss excludes the delta*||w||^2 penalty (add it back for the
     penalized objective).  `F` is feature_matrix(spec, seq) when the caller
-    already has it.
+    already has it.  Weights that overflow (features near the bottom of the
+    float range fit by a huge coefficient) raise ValueError.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -55,6 +56,8 @@ def batch_solve(
     else:
         gram = F.T @ F + float(delta) * np.eye(spec.order_m)
         w = np.linalg.solve(gram, F.T @ x)
+    if not np.isfinite(w).all():
+        raise ValueError(f"the delta={delta!r} hindsight fit overflows: its weights are not finite")
     residual = x - F @ w
     return w, float(residual @ residual)
 

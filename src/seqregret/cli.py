@@ -464,6 +464,13 @@ def cmd_identity(ns: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parser
 
+class _PriorGiven(argparse.Action):
+    """Stores --C and notes that it was given (argparse fills in defaults without actions)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.C, namespace.prior_given = values, True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqregret",
@@ -488,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=256, help="sequence length / top of horizon grid")
         if with_trials:
             p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trials")
-        p.add_argument("--C", type=float, default=1.0, help="beta prior parameter of the adversary")
+        p.add_argument("--C", type=float, default=1.0, action=_PriorGiven,
+                       help="beta prior parameter of the adversary; read by lowerbound, by --family "
+                       "adversarial without --input, and by compare's bayes rows on an --input file")
+        p.set_defaults(prior_given=False)
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
         if with_chart:
             p.add_argument("--svg", action="store_true", help="also write a chart next to --out")
@@ -545,6 +555,16 @@ def _with_config(argv: list[str], ns: argparse.Namespace) -> list[str]:
     return [*argv[:at], *synthesized, *argv[at:]]
 
 
+def _prior_read(ns: argparse.Namespace) -> bool:
+    """Whether the command reads --C: lowerbound's adversary, a generated adversarial
+    sequence, or compare's bayes rows on an --input file (two-valued data)."""
+    if ns.command == "lowerbound":
+        return True
+    if ns.input is None:
+        return ns.family == "adversarial"
+    return ns.command == "compare"
+
+
 def _needs_seed(ns: argparse.Namespace) -> bool:
     if ns.command == "lowerbound":
         return True
@@ -565,6 +585,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{ns.command} is stochastic here; --seed is required")
         if ns.seed is None:
             ns.seed = 0
+        if ns.prior_given and not _prior_read(ns):
+            source = f"--input {ns.input}" if ns.input is not None else f"--family {ns.family}"
+            raise ValueError(
+                f"--C is not read by {ns.command} on {source}: the beta prior applies to --family "
+                f"adversarial without --input, to lowerbound, and to compare's bayes rows on an --input file"
+            )
         return ns.func(ns)
     except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)

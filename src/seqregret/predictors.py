@@ -1,8 +1,9 @@
 """Online ridge prediction on feature vectors, plus LMS / forgetting-RLS baselines.
 
 The ridge predictor keeps R = sum f f^T and r = sum x*f over the steps seen so
-far; one solve of (R + delta I) against [r, f] gives the plain prediction
-r^T (R + dI)^{-1} f (what `predict` returns) and the leverage f^T (R + dI)^{-1} f.
+far.  With R + delta I = L L^T, z = L^-1 r and y = L^-1 f, the plain prediction
+r^T (R + dI)^{-1} f (what `predict` returns) is z.y and the leverage
+f^T (R + dI)^{-1} f is |y|^2: forward substitution only.
 The leverage-damped prediction plain / (1 + leverage) is the Vovk-Azoury-Warmuth
 forecast r^T (R + f f^T + dI)^{-1} f, which the regret certificate in
 `batch.RegretReport` provably covers; the plain trace can overshoot it on short
@@ -10,10 +11,12 @@ sign-flip bursts (see `batch.bound_convention_audit`).
 
 Every ridge path runs on one blocked engine whose layout only this module knows:
 `_prefix_blocks` builds BLOCK_STEPS steps of statistics at a time by cumulative
-sums, `_vaw_solve` solves them in one batched call and `_engine_pass` walks them
-once; other modules read predictions and leverages from `run_online`.  RLS is the
-same pass with discounted statistics and regularizer.  A system singular in floating
-point raises ValueError (exit 2 in the CLI); `verify_dense` audits by Cholesky.
+sums, `_vaw_solve` factors and substitutes them in place by numpy elementwise
+operations across the block, and `_engine_pass` walks them once; other modules
+read predictions and leverages from `run_online`.  RLS is the same pass with
+discounted statistics and regularizer.  A system singular in floating point raises
+ValueError (exit 2 in the CLI); `verify_dense` audits every step against an
+independent LAPACK LU re-solve (`np.linalg.solve`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .sequences import BoundedSequence, FeatureSpec, feature_matrix
 
 # Steps per engine block.  Blocks start at multiples of this whatever the run
 # length, so a prefix run reproduces the leading steps of a longer run bitwise.
-BLOCK_STEPS = 256
+BLOCK_STEPS = 512
 
 
 @dataclass
@@ -68,99 +71,159 @@ def _as_feature(state: PredictorState, f) -> np.ndarray:
     return vec
 
 
-def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float = 1.0):
-    """Yield (steps, shifted, crosses) per engine block from zero statistics.
+def _column_starts(m: int) -> list[int]:
+    """First row of each column of the engine's packed statistics, and their count last.
 
-    Row i holds (R + lambda^k delta I, r) before the block's step i (global step
-    k), R and r summing lambda^(k-1-s) f_s f_s^T and lambda^(k-1-s) x_s f_s over
-    s < k.  At lambda = 1 sums add one step at a time from the previous block's
-    statistics after its final step, so each row equals the `update` chain
-    bitwise.  Under forgetting the decaying regularizer rides in the statistics,
-    step j enters the sums weighted by lambda^-j <= e^300 and row i >= 1 is
-    rescaled by lambda^(i-1).  Block lengths depend on lambda alone, so prefix
-    runs reproduce the leading steps bitwise.  The next block overwrites `shifted`.
+    Column j (j < m) of the lower triangle of [[R + dI, .], [r^T, .]] holds rows
+    j..m: (R + dI)[j:, j], then r_j.
+    """
+    return [j * (m + 1) - j * (j - 1) // 2 for j in range(m + 1)]
+
+
+def _prefix_blocks(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float = 1.0):
+    """Yield (steps, stats, features) per engine block from zero statistics.
+
+    Column i of `stats` holds R + lambda^k delta I and r before the block's step i
+    (global step k), packed as `_column_starts` lays out, and column i of
+    `features` (m, b) holds f_k; R and r sum lambda^(k-1-s) f_s f_s^T and
+    lambda^(k-1-s) x_s f_s over s < k.  Each column adds step k-1 to the previous
+    one, so at lambda = 1 sums add one step at a time and every column equals the
+    `update` chain bitwise.  Under forgetting the decaying regularizer rides in the
+    statistics: the block's first column is lambda times the previous block's last
+    plus step k-1, later ones enter the cumulative sum weighted by lambda^-i <= e^300
+    and are rescaled by lambda^i.  Block lengths depend on lambda alone, so prefix
+    runs reproduce the leading steps bitwise.  Both arrays are contiguous views of
+    buffers that the next block overwrites, so the solve may work in place.
     """
     n, m = F.shape
     block = BLOCK_STEPS if forgetting == 1.0 else min(BLOCK_STEPS, 1 + int(300.0 / -np.log(forgetting)))
-    buffer = np.empty((min(n, block) + 1, m, m))
-    gram, cross = np.zeros((m, m)), np.zeros(m)
-    shift = delta * np.eye(m)
+    starts = _column_starts(m)
+    width = min(n, block)
+    stats_buffer, window_buffer = np.empty(starts[m] * width), np.empty((m + 1) * width)
+    initial = np.zeros(starts[m])
     discounted = forgetting != 1.0
     if discounted:
-        gram, shift = shift, 0.0
+        initial[starts[:m]] = delta
         powers = forgetting ** np.arange(float(block))
-        weights = np.concatenate([[forgetting], 1.0 / powers])  # row 0 by lambda, step j by lambda^-j
+        weights = 1.0 / powers
     for lo in range(0, n, block):
         steps = slice(lo, min(n, lo + block))
-        f = F[steps]
-        b = f.shape[0]
-        grams = buffer[: b + 1]
-        grams[0] = gram
-        np.multiply(f[:, :, None], f[:, None, :], out=grams[1:])
-        crosses = np.concatenate([cross[None], x[steps, None] * f])
+        b = steps.stop - lo
+        stats = stats_buffer[: starts[m] * b].reshape(-1, b)
+        window = window_buffer[: (m + 1) * b].reshape(m + 1, b)  # [f; x] of steps lo-1 .. lo+b-2
+        before = slice(max(lo - 1, 0), steps.stop - 1)
+        pad = b - (before.stop - before.start)  # the first block has no step before it
+        window[:, :pad] = 0.0
+        window[:m, pad:], window[m, pad:] = F[before].T, x[before]
+        for j in range(m):  # column j of the triangle: f_i f_j for i >= j, then x f_j
+            np.multiply(window[j:], window[j], out=stats[starts[j]:starts[j + 1]])
         if discounted:
-            grams *= weights[: b + 1, None, None]
-            crosses *= weights[: b + 1, None]
-        np.cumsum(grams, axis=0, out=grams)
-        np.cumsum(crosses, axis=0, out=crosses)
+            stats[:, 1:] *= weights[1:b]
+        stats[:, 0] += forgetting * carry if lo else initial
+        np.cumsum(stats, axis=1, out=stats)
         if discounted:
-            grams[1:] *= powers[:b, None, None]
-            crosses[1:] *= powers[:b, None]
-            grams[0], crosses[0] = gram, cross
-        gram, cross = grams[-1].copy(), crosses[-1]  # after the block's final step
-        grams += shift
-        yield steps, grams[:-1], crosses[:-1]
+            stats[:, 1:] *= powers[1:b]
+        carry = stats[:, -1].copy()  # before the block's final step
+        if not discounted:
+            for j in range(m):
+                stats[starts[j]] += delta
+        features = window[:m]
+        features[:] = F[steps].T
+        yield steps, stats, features
 
 
-def _vaw_solve(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray):
-    """Plain prediction r.g and leverage f.g per stacked step.
+def _singular() -> ValueError:
+    return ValueError(
+        "ridge system R + dI is singular in floating point: the regularizer d (delta, or "
+        "delta * forgetting^k under forgetting) is below the resolution of R at its scale"
+    )
 
-    (a, g) solve (R + dI) [a, g] = [r, f] per item of `shifted` (b, m, m) = R + dI,
-    `crosses` (b, m) and `F` (b, m).  Items are solved independently, so a batch
-    of one reproduces any row of a larger batch bitwise.  A system singular in
-    floating point (a zero pivot, or an overflowing solution) raises ValueError.
+
+def _vaw_solve(stats: np.ndarray, features: np.ndarray):
+    """Plain prediction r^T (R + dI)^{-1} f and leverage f^T (R + dI)^{-1} f per column.
+
+    `stats` holds R + dI and r as `_prefix_blocks` packs them and `features` (m, b)
+    the f of each column; both are overwritten.  The Cholesky factorization of
+    [[R + dI, .], [r^T, .]] by columns gives R + dI = L L^T with z = L^-1 r as its
+    last row, forward substitution turns f into y = L^-1 f, and the plain
+    prediction is z.y, the leverage |y|^2 (never negative).  Every entry
+    accumulates elementwise in a fixed order, never by a reduction over m, so a
+    batch of one reproduces any column of a larger batch bitwise.  A pivot that is
+    not positive and finite, or a result that is not finite, raises ValueError
+    (the system is singular in floating point).
     """
-    try:
-        sol = np.linalg.solve(shifted, np.stack([crosses, F], axis=-1))
-        if not np.isfinite(sol).all():
-            raise np.linalg.LinAlgError("solution overflows")
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "ridge system R + dI is singular in floating point: the regularizer d (delta, or "
-            "delta * forgetting^k under forgetting) is below the resolution of R at its scale"
-        ) from exc
-    return np.sum(crosses * sol[..., 1], 1), np.sum(F * sol[..., 1], 1)
+    m, b = features.shape
+    starts = _column_starts(m)
+    scratch = np.empty((m, b))
+    y = features
+    with np.errstate(all="ignore"):  # a failed pivot propagates as nan or inf, checked below
+        for j in range(m):
+            column = stats[starts[j]:starts[j + 1]]  # rows j..m of column j, then of L
+            for k in range(j):
+                low = stats[starts[k] + j - k:starts[k + 1]]  # L[j:, k]
+                column -= np.multiply(low, low[0], out=scratch[: m + 1 - j])
+            np.sqrt(column[0], out=column[0])
+            column[1:] /= column[0]
+        for k in range(m):
+            y[k] /= stats[starts[k]]
+            below = stats[starts[k] + 1:starts[k + 1] - 1]  # L[k+1:, k]
+            y[k + 1:] -= np.multiply(below, y[k], out=scratch[: m - 1 - k])
+        plain, leverage = stats[starts[1] - 1] * y[0], y[0] * y[0]
+        for i in range(1, m):
+            plain += np.multiply(stats[starts[i + 1] - 1], y[i], out=scratch[0])
+            leverage += np.multiply(y[i], y[i], out=scratch[0])
+        pivots = np.take(stats, starts[:m], axis=0, out=scratch)
+        if not (pivots.min() > 0 and pivots.max() < np.inf and np.isfinite(plain).all()
+                and np.isfinite(leverage).all()):
+            raise _singular()
+    return plain, leverage
+
+
+AUDIT_ENTRIES = 2 ** 12  # matrix entries per LAPACK call of the dense audit (at most 256 systems)
+
+
+def _lu_predictions(stats: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Plain predictions f.(R + dI)^{-1} r re-solved by LAPACK LU (`np.linalg.solve`),
+    independently of the engine's Cholesky, a bounded slice of systems at a time."""
+    m, b = features.shape
+    items = min(256, AUDIT_ENTRIES // (m * m))
+    starts = _column_starts(m)
+    entries = [starts[min(i, j)] + abs(i - j) for i in range(m) for j in range(m)]
+    crosses = [starts[j + 1] - 1 for j in range(m)]
+    direct = np.empty(b)
+    for lo in range(0, b, items):
+        part = slice(lo, min(b, lo + items))
+        systems = stats[entries, part].T.reshape(-1, m, m)
+        try:
+            a = np.linalg.solve(systems, stats[crosses, part].T[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise _singular() from exc
+        direct[part] = np.sum(a * features[:, part].T, axis=1)
+    if not np.isfinite(direct).all():
+        raise _singular()
+    return direct
 
 
 def _engine_pass(F: np.ndarray, x: np.ndarray, delta: float, forgetting: float = 1.0, audit: bool = False):
-    """Per-step plain predictions, leverages and the worst Cholesky audit gap (if `audit`)."""
+    """Per-step plain predictions, leverages and the worst LU audit gap (if `audit`)."""
     raw, leverage = np.empty((2, F.shape[0]))
     worst_gap = 0.0
-    for steps, shifted, crosses in _prefix_blocks(F, x, delta, forgetting):
-        raw[steps], leverage[steps] = _vaw_solve(shifted, crosses, F[steps])
+    for steps, stats, features in _prefix_blocks(F, x, delta, forgetting):
+        direct = _lu_predictions(stats, features) if audit else None  # before the solve overwrites them
+        raw[steps], leverage[steps] = _vaw_solve(stats, features)
         if audit:
-            worst_gap = max(worst_gap, _cholesky_gap(shifted, crosses, F[steps], raw[steps]))
+            gap = np.abs(raw[steps] - direct) / np.maximum(1.0, np.maximum(np.abs(raw[steps]), np.abs(direct)))
+            worst_gap = max(worst_gap, float(np.max(gap)))
     return raw, leverage, worst_gap if audit else None
-
-
-def _cholesky_gap(shifted: np.ndarray, crosses: np.ndarray, F: np.ndarray, raw: np.ndarray) -> float:
-    """Worst relative gap between `raw` and a re-solve independent of the engine's LU solve:
-    R + dI = L L^T per step, then forward and back substitution for a = (R + dI)^{-1} r."""
-    low = np.linalg.cholesky(shifted)
-    a = np.empty_like(crosses)
-    for i in range(F.shape[1]):  # L y = r, y kept in a
-        a[:, i] = (crosses[:, i] - np.sum(low[:, i, :i] * a[:, :i], axis=1)) / low[:, i, i]
-    for i in reversed(range(F.shape[1])):  # L^T a = y
-        a[:, i] = (a[:, i] - np.sum(low[:, i + 1:, i] * a[:, i + 1:], axis=1)) / low[:, i, i]
-    direct = np.sum(a * F, axis=1)
-    return float(np.max(np.abs(raw - direct) / np.maximum(1.0, np.maximum(np.abs(raw), np.abs(direct)))))
 
 
 def predict(state: PredictorState, f) -> float:
     """Plain online prediction r^T (R + delta I)^{-1} f; 0 on empty statistics."""
     vec = _as_feature(state, f)
-    shifted = state.gram_R + state.delta * np.eye(state.order_m)
-    raw, _ = _vaw_solve(shifted[None], state.cross_r[None], vec[None])
+    m = state.order_m
+    shifted = state.gram_R + state.delta * np.eye(m)
+    stats = np.concatenate([np.append(shifted[j:, j], state.cross_r[j]) for j in range(m)])
+    raw, _ = _vaw_solve(stats[:, None], vec[:, None].copy())
     return float(raw[0])
 
 
@@ -185,7 +248,7 @@ class OnlineRunResult:
     `leverage` each step's f^T (R + delta I)^{-1} f (all None for the LMS and
     RLS baselines, which report plain predictions only).  `max_dense_gap` is the
     worst per-step relative gap between the engine's prediction and the
-    independent Cholesky re-solve, when that audit was requested.
+    independent LU re-solve, when that audit was requested.
     """
 
     predictions: np.ndarray
@@ -208,8 +271,8 @@ def run_online(
 
     Step t predicts from the statistics of steps 1..t-1 (optionally clamping
     the plain prediction to [-A, A]) and is scored against x[t].
-    `verify_dense=True` re-solves every step's system by the independent
-    Cholesky path and records the worst relative gap.
+    `verify_dense=True` re-solves every step's system by LAPACK LU, independently
+    of the engine's Cholesky, and records the worst relative gap.
     """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")

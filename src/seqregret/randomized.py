@@ -40,6 +40,7 @@ PredictorFn = Callable[[np.ndarray], float]
 ProbRule = Callable[[np.ndarray], np.ndarray]
 
 PROB_SUM_TOL = 1e-12
+MC_CHUNK = 2 ** 14  # uniforms per block of the Monte-Carlo pass of `mixture_account` (128 kB arrays)
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,23 @@ def mixture_tables(rp: RandomizedPredictor, seq: BoundedSequence) -> tuple[np.nd
     return preds, probs
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Per-step normalized cumulative weights of (K, n) `probs`, as `rng.choice` forms them,
+    refusing what it refuses: a weight sum that is NaN, a negative weight, or a sum
+    off 1 by more than sqrt(eps)."""
+    with np.errstate(invalid="ignore"):  # inf - inf reads as a NaN sum, as in `rng.choice`
+        sums = np.sum(probs, axis=0)
+    if np.isnan(sums).any():
+        raise ValueError("Probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(sums - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = np.cumsum(probs, axis=0)
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class MixtureAccount:
     """The loss account of a mixture on one sequence.
@@ -129,18 +147,29 @@ def mixture_account(
     """Account of the mixture with (K, n) tables `preds`, `probs` on `values`.
 
     With `trials`, also runs that many independent randomized passes drawing
-    from one generator seeded by `seed`, one draw per trial and step.
+    from one generator seeded by `seed`, one draw per trial and step.  The draws
+    are `rng.choice(k, size=trials, p=probs[:, t])` step after step, computed as
+    that function does (a uniform per trial against the normalized cumulative
+    weights) over MC_CHUNK uniforms at a time, so totals are bitwise the loop's.
     """
     k, n = preds.shape
     totals = None
     if trials is not None:
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        cdf = _choice_cdf(probs)
         rng = np.random.default_rng(seed)
         totals = np.zeros(trials)
-        for t in range(n):
-            idx = rng.choice(k, size=trials, p=probs[:, t])
-            totals += (values[t] - preds[idx, t]) ** 2
+        rows = max(1, MC_CHUNK // trials)
+        for lo in range(0, n, rows):
+            steps = np.arange(lo, min(n, lo + rows))
+            uniforms = rng.random((steps.size, trials))
+            idx = np.zeros(uniforms.shape, dtype=np.intp)
+            for j in range(k - 1):  # searchsorted(cdf, u, side='right'); cdf[k-1] = 1 > u
+                idx += cdf[j, steps, None] <= uniforms
+            losses = (values[steps, None] - preds[idx, steps[:, None]]) ** 2
+            losses[0] += totals
+            totals = np.cumsum(losses, axis=0, out=losses)[-1].copy()
     per_step = np.sum(probs * (values[None, :] - preds) ** 2, axis=0)
     means = np.sum(probs * preds, axis=0)
     variances = np.sum(probs * (preds - means[None, :]) ** 2, axis=0)

@@ -178,7 +178,7 @@ def test_criterion_3_recursive_matches_dense(bound_suite):
     report_line(
         3,
         ok,
-        f"blocked engine vs independent per-step Cholesky audit: worst relative gap "
+        f"blocked engine vs independent per-step LU audit: worst relative gap "
         f"{worst:.3e} <= 1e-8 over {len(runs)} runs",
     )
     assert worst <= 1e-8

@@ -2,9 +2,10 @@
 
 `perfbench/tracing.py` wraps the public functions of each layer and reads their
 arguments by position (for example `len(args[1])` of `cli.bound_trace` is the
-step count).  These tests run two of the `long` workload's commands, and the
-monomial regret floor, at a small size under those wrappers, so a signature
-change that would break a traced benchmark run fails here first.
+step count).  These tests run two of the `long` workload's commands and the
+monomial regret floor at a small size, and the `mixture` workload's command at
+its own size, under those wrappers, so a signature change that would break a
+traced benchmark run fails here first.
 """
 
 import contextlib
@@ -86,4 +87,15 @@ def test_traced_monomial_floor_spans_one_generate_per_trial(traced_main):
     assert span_work(rec, "adversary.generate") == [n for n in grid for _ in range(trials)]
     metrics = tracing.layer_metrics(rec, 1.0, sum(grid) * trials)
     assert metrics["adversary.generate.calls"] == trials * len(grid)
+    assert np.isfinite(list(metrics.values())).all()
+
+
+def test_traced_identity_runs_the_evidence_quadrature_once(traced_main):
+    # the mixture workload's command at its size: identity at n = 128 with 400 trials
+    run, rec = traced_main
+    out = run("identity", "--family", "walk", "--seed", "1", "--n", "128", "--trials", "400")
+    assert out.splitlines()[-1].count(",") == out.splitlines()[-2].count(",")  # header and CSV row
+    assert len(span_work(rec, "cli.evidence_quadrature")) == 1
+    assert len(span_work(rec, "cli.cmd_identity")) == 1
+    metrics = tracing.layer_metrics(rec, 1.0, 128)
     assert np.isfinite(list(metrics.values())).all()

@@ -292,6 +292,20 @@ def test_overflowing_scale_is_refused_up_front(capsys):
     assert "A^2 * n / delta overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["regret", "compare"])
+def test_overflowing_hindsight_weights_are_named(command, tmp_path, capfd):
+    # the unregularized fit of 1.0 on a subnormal feature needs a weight past the float
+    # range; its residual used to be 0 * inf = nan, with a RuntimeWarning on stderr
+    seq = tmp_path / "tiny.txt"
+    seq.write_text("2.225073858507e-311\n1.0\n")
+    code = run_cli(command, "--input", str(seq))
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "hindsight fit overflows" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 def test_polynomial_feature_overflow_is_refused_up_front(capfd):
     # A^8 overflows: LAPACK used to print onto stdout before the SVD gave up
     code = run_cli("regret", "--family", "sinusoid", "--A", "1e40", "--class", "univar", "--m", "8", "--n", "64")
@@ -669,6 +683,55 @@ def test_trials_is_a_usage_error_where_nothing_is_drawn(command, tmp_path, capsy
     cfg.write_text("trials=5\n")
     assert run_cli(command, "--n", "16", "--config", str(cfg)) == 2
     assert "unrecognized arguments: --trials=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--family", "sinusoid", "--n", "64"),
+        ("regret", "--family", "walk", "--seed", "1", "--n", "64"),
+        ("identity", "--family", "zero", "--seed", "1", "--n", "16", "--trials", "4"),
+        ("regret", "--family", "adversarial", "--seed", "1", "--n", "64", "--input", "SEQ"),
+    ],
+    ids=["compare-sinusoid", "regret-walk", "identity-zero", "regret-input"],
+)
+def test_prior_is_a_usage_error_where_nothing_reads_it(argv, tmp_path, capsys):
+    # --C used to be accepted and ignored off the adversarial family; as a flag or a config key it is refused
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n-1\n1\n1\n")
+    argv = [str(seq) if a == "SEQ" else a for a in argv]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--C", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--C is not read by {argv[0]}" in captured.err
+    cfg = tmp_path / "prior.cfg"
+    cfg.write_text("C=0.001\n")
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "--C is not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["regret", "compare", "identity"])
+def test_prior_is_read_on_the_generated_adversarial_family(command, capsys):
+    trials = ("--trials", "4") if command == "identity" else ()
+    base = (command, "--family", "adversarial", "--seed", "3", "--n", "64", *trials)
+    assert run_cli(*base) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*base, "--C", "1") == 0
+    assert capsys.readouterr().out == default  # the default prior is C = 1
+    assert run_cli(*base, "--C", "0.05") == 0
+    assert capsys.readouterr().out != default  # a different prior draws a different sequence
+
+
+def test_prior_is_read_by_compare_bayes_rows_on_an_input_file(tmp_path, capsys):
+    seq = tmp_path / "pm.txt"
+    seq.write_text("".join(f"{v}\n" for v in (1, 1, -1, 1, 1, 1, -1, -1, 1, 1, 1, 1)))
+    rows = {}
+    for prior in ("1", "0.05"):
+        assert run_cli("compare", "--input", str(seq), "--C", prior) == 0
+        rows[prior] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("bayes,")]
+    assert rows["1"] and rows["1"] != rows["0.05"]
 
 
 @pytest.mark.parametrize("command, key", [("identity", "svg"), ("compare", "svg"), ("lowerbound", "clip")])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqregret import (
@@ -18,6 +18,7 @@ from seqregret import (
     univariate_poly,
     update,
 )
+from seqregret import predictors
 from seqregret.predictors import BLOCK_STEPS, OnlineRunResult
 from seqregret.sequences import feature_matrix
 
@@ -226,6 +227,121 @@ def test_run_online_dense_audit_small_gap_across_blocks():
 def walk_sequence(seed, n):
     rng = np.random.default_rng(seed)
     return BoundedSequence(np.clip(np.cumsum(rng.normal(0, 0.1, n)), -1, 1), 1.0)
+
+
+def test_dense_audit_catches_a_faulty_engine(monkeypatch):
+    # the audit re-solves by LAPACK LU, so an engine whose plain output is off by a
+    # relative 1e-6 reads a gap far above criterion 3's 1e-8
+    seq, spec = walk_sequence(3, BLOCK_STEPS + 100), linear_lag(1, 4)
+    assert run_online(spec, seq, 1.0, verify_dense=True).max_dense_gap < 1e-10
+    solve = predictors._vaw_solve
+
+    def faulty(stats, features):
+        plain, leverage = solve(stats, features)
+        return plain * (1.0 + 1e-6), leverage
+
+    monkeypatch.setattr(predictors, "_vaw_solve", faulty)
+    assert run_online(spec, seq, 1.0, verify_dense=True).max_dense_gap > 1e-8
+
+
+def test_engine_calls_no_lapack_and_the_audit_does(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    for name in ("cholesky", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    seq, spec = walk_sequence(4, BLOCK_STEPS + 10), linear_lag(1, 3)
+    plain = run_online(spec, seq, 1.0)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    audited = run_online(spec, seq, 1.0, verify_dense=True)
+    np.testing.assert_array_equal(audited.predictions, plain.predictions)
+    assert sum(shape[0] for shape in calls) == len(seq)  # every step re-solved once
+    assert max(shape[0] for shape in calls) <= 256
+
+
+def pack(shifted, crosses):
+    """(b, m, m) matrices R + dI and (b, m) crosses r as the engine packs them: per column j,
+    (R + dI)[j:, j] then r_j, one system per column of the result."""
+    m = crosses.shape[1]
+    return np.concatenate([np.concatenate([shifted[:, j:, j], crosses[:, j:j + 1]], axis=1) for j in range(m)],
+                          axis=1).T.copy()
+
+
+def engine_solve(shifted, crosses, F):
+    """(plain, leverage) of the engine's solve on copies of its inputs."""
+    return predictors._vaw_solve(pack(shifted, crosses), F.T.copy())
+
+
+@st.composite
+def spd_stacks(draw):
+    """A stack of R + dI with R = G G^T of rank <= m (zero rank too), crosses r and
+    features f; d ranges from far above the scale of R down to its resolution."""
+    m = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(0, m))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    G = rng.normal(size=(b, m, rank)) * scale
+    R = G @ G.transpose(0, 2, 1)
+    top = max(float(np.max(np.abs(R))), 1.0)
+    delta = top * 10.0 ** draw(st.floats(-15.0, 2.0))
+    shifted = R + delta * np.eye(m)
+    crosses = rng.normal(size=(b, m)) * scale * np.sqrt(b)
+    F = rng.normal(size=(b, m)) * scale
+    return shifted, crosses, F
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_stacks())
+def test_engine_solve_matches_lapack_and_is_batch_independent(stack):
+    shifted, crosses, F = stack
+    b = F.shape[0]
+    singles = []
+    for i in range(b):
+        try:
+            singles.append(engine_solve(shifted[i:i + 1], crosses[i:i + 1], F[i:i + 1]))
+        except ValueError:
+            singles.append(None)
+    try:
+        plain, leverage = engine_solve(shifted, crosses, F)
+    except ValueError as exc:
+        # the batch refuses exactly when one of its systems does
+        assert "singular in floating point" in str(exc)
+        assert any(single is None for single in singles)
+        return
+    assert all(single is not None for single in singles)
+    for i, (one_plain, one_leverage) in enumerate(singles):
+        assert one_plain.tobytes() == plain[i:i + 1].tobytes()
+        assert one_leverage.tobytes() == leverage[i:i + 1].tobytes()
+    assert np.all(leverage >= 0)
+    # oracle: LU solves; any backward-stable solve is off by a multiple of eps * cond
+    g = np.linalg.solve(shifted, F[..., None])[..., 0]
+    a = np.linalg.solve(shifted, crosses[..., None])[..., 0]
+    cond = np.linalg.cond(shifted)
+    assume(np.all(np.isfinite(cond)))
+    lev_oracle, plain_oracle = np.sum(F * g, axis=1), np.sum(crosses * g, axis=1)
+    # |r^T A^-1 f| <= sqrt(r^T A^-1 r) sqrt(f^T A^-1 f): the natural size of the plain prediction
+    size = np.sqrt(np.abs(np.sum(crosses * a, axis=1) * lev_oracle))
+    assert np.all(np.abs(leverage - lev_oracle) <= 1e-12 * cond * np.maximum(lev_oracle, 1e-300))
+    assert np.all(np.abs(plain - plain_oracle) <= 1e-12 * cond * np.maximum(size, 1e-300))
+
+
+def test_engine_refuses_a_singular_system_without_warnings():
+    # R = f f^T of rank 1 at d far below its resolution: a pivot rounds to zero or below
+    f = np.array([1.0, 1.0, 1.0])
+    shifted = (np.outer(f, f) + 1e-30 * np.eye(3))[None]
+    with pytest.raises(ValueError, match="singular in floating point"):
+        engine_solve(shifted, np.ones((1, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="singular in floating point"):
+        engine_solve(np.array([[[np.inf]]]), np.ones((1, 1)), np.ones((1, 1)))
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
@@ -485,7 +601,7 @@ def uniform_sequence(seed, n):
     return BoundedSequence(np.random.default_rng(seed).uniform(-1, 1, n), 1.0)
 
 
-# at forgetting 0.05 the weight 0.05^-256 of a full BLOCK_STEPS block would overflow
+# at forgetting 0.05 the weight 0.05^-BLOCK_STEPS of a full block would overflow
 @pytest.mark.parametrize(
     "forgetting, m", [(lam, m) for lam in (1.0, 0.999, 0.99, 0.9, 0.5) for m in (1, 2, 4, 8)] + [(0.05, 1)]
 )
@@ -508,7 +624,7 @@ def test_rls_prefix_runs_under_forgetting_reproduce_the_leading_steps_bitwise(fo
     seq = uniform_sequence(2, 3 * BLOCK_STEPS)
     spec = linear_lag(1, 2)
     full = run_rls(spec, seq, 1.0, forgetting=forgetting)
-    # blocks span 256 steps at 0.9 and 101 at 0.05
+    # blocks span BLOCK_STEPS steps at 0.9 and 101 at 0.05
     for nc in (1, 100, 101, 102, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 37):
         prefix = run_rls(spec, seq.prefix(nc), 1.0, forgetting=forgetting)
         np.testing.assert_array_equal(prefix.per_step_losses, full.per_step_losses[:nc])

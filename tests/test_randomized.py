@@ -1,9 +1,12 @@
 """Mixture predictors: Monte Carlo vs. analytic account, and derandomization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqregret import (
     BoundedSequence,
@@ -282,6 +285,77 @@ def test_table_account_equals_the_history_function_route():
     assert (account.bias_sq, account.variance) == variance_decomposition(rp, seq)
     derand_loss = run_predictor_fn(derandomize(rp), seq)
     assert abs(account.derandomized_loss - derand_loss) <= 1e-12 * max(1.0, derand_loss)
+
+
+def choice_loop_totals(values, preds, probs, trials, seed):
+    """Oracle: the Monte-Carlo pass as one `rng.choice` per step; returns the totals and the generator."""
+    k, n = preds.shape
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(trials)
+    for t in range(n):
+        idx = rng.choice(k, size=trials, p=probs[:, t])
+        totals += (values[t] - preds[idx, t]) ** 2
+    return totals, rng
+
+
+def account_and_generator(values, preds, probs, trials, seed):
+    """mixture_account's trial totals and the generator it drew from."""
+    made = []
+    real = np.random.default_rng
+
+    def capture(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", capture):
+        totals = mixture_account(values, preds, probs, trials, seed).trial_totals
+    (rng,) = made
+    return totals, rng
+
+
+@st.composite
+def mixture_weights(draw, k, n):
+    """(k, n) weights summing to 1 per step, static or per step, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    static = draw(st.booleans())
+    w = rng.random((k, 1 if static else n)) * (rng.random((k, 1 if static else n)) < 0.7)
+    w[rng.integers(k)] += 0.05
+    w = w / w.sum(axis=0)
+    return np.broadcast_to(w, (k, n)) if static else w
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(0, 150)).flatmap(
+        lambda kn: st.tuples(st.just(kn[0]), st.just(kn[1]), mixture_weights(*kn))
+    ),
+    trials=st.one_of(st.integers(1, 40), st.integers(400, 2500)),  # the second spans several draw chunks
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_monte_carlo_pass_is_the_choice_loop_bitwise(shape, trials, seed):
+    k, n, probs = shape
+    rng = np.random.default_rng(seed % 1000)
+    values, preds = rng.normal(size=n), rng.normal(size=(k, n))
+    want, want_rng = choice_loop_totals(values, preds, probs, trials, seed)
+    got, got_rng = account_and_generator(values, preds, probs, trials, seed)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "column, named",
+    [([0.5, np.nan], "contain NaN"), ([np.inf, -np.inf], "contain NaN"), ([1.5, -0.5], "not non-negative"),
+     ([0.5, 0.4], "do not sum to 1"),
+     ([np.inf, 0.0], "do not sum to 1"), ([1.0 + 2e-8, 0.0], "do not sum to 1")],
+)
+def test_monte_carlo_pass_refuses_what_choice_refuses(column, named):
+    probs = np.array([[0.25, column[0]], [0.75, column[1]]])
+    values, preds = np.zeros(2), np.zeros((2, 2))
+    with pytest.raises(ValueError, match=named):
+        choice_loop_totals(values, preds, probs, 3, 0)
+    with pytest.raises(ValueError, match=named):
+        mixture_account(values, preds, probs, 3, 0)
+    mixture_account(values, preds, np.array([[0.25, 1.0 + 1e-9], [0.75, 0.0]]), 3, 0)  # within sqrt(eps)
 
 
 def test_account_without_trials_skips_the_monte_carlo_pass():
