@@ -31,7 +31,7 @@ from .sequences import (
 # Seedable generator used throughout: numpy PCG64 behind default_rng, with
 # per-task streams derived by SeedSequence.spawn.  Gamma draws (for the beta
 # prior) use numpy's standard rejection sampler.
-RNG_ALGORITHM = "PCG64"
+
 MAX_DEGENERATE_DRAWS = 1000  # consecutive underflowed beta draws before sample_theta gives up
 
 
@@ -157,30 +157,6 @@ def _check_two_valued(values: np.ndarray, A: float) -> None:
         raise ValueError("history must take values exactly in {+A, -A}")
 
 
-def bayes_predict(history: BoundedSequence, beta_C: float, k: int) -> float:
-    """Conditional-mean prediction of the next sample of a lag-k sign-flip chain.
-
-    One theta governs every transition, so the stays/flips of x[q] against
-    x[q-k] are counted over every q from k up to the next index t, in all k
-    subchains, and the result is (2*theta_hat - 1) * x[t-k] with the conjugate
-    posterior mean theta_hat = (stays + C) / (stays + flips + 2C).  With no
-    usable history (next index < k) the prior mean theta = 1/2 gives 0.
-    """
-    if not beta_C > 0:
-        raise ValueError("beta_C must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vals = history.values
-    t = vals.size  # 0-based index of the sample being predicted
-    if t < k:
-        return 0.0
-    _check_two_valued(vals, history.bound_A)
-    positions = np.arange(k, t)  # every q with both x[q] and x[q-k] observed
-    stays = int(np.sum(vals[positions] == vals[positions - k]))
-    theta_hat = (stays + beta_C) / (positions.size + 2.0 * beta_C)
-    return float((2.0 * theta_hat - 1.0) * vals[t - k])
-
-
 def bayes_prediction_trace(seq: BoundedSequence, beta_C: float, reference: Monomial) -> np.ndarray:
     """Conditional-mean predictions of a sign-flip law, one pooled posterior: entry t predicts x[t].
 
@@ -286,115 +262,3 @@ def estimate_lower_bound(
         rows.append(LowerBoundRow(n=int(n), mean_regret=mean, std_error=se, trials=trials))
     slope = float(np.polyfit(np.log([r.n for r in rows]), [r.mean_regret for r in rows], 1)[0]) if len(rows) > 1 else 0.0
     return LowerBoundTable(rows=tuple(rows), fitted_slope_vs_ln_n=slope)
-
-
-@dataclass(frozen=True)
-class TransitionCheck:
-    """Monte-Carlo summary of the flip-count law of a lag-1 chain.
-
-    flip_fraction aggregates all transitions; lag_product_* summarize
-    x[t]*x[t-1]/A^2 (zero-mean unconditionally by prior symmetry);
-    chi_square compares the per-trial flip-count histogram against the
-    binomial (theta fixed) or prior-mixed binomial (theta drawn) law, with
-    low-expectation bins merged into the tails.
-    """
-
-    trials: int
-    horizon_n: int
-    theta: float | None
-    flip_fraction: float
-    expected_flip_fraction: float
-    flip_var_ratio: float | None
-    lag_product_mean: float
-    lag_product_z: float
-    chi_square: float
-    chi_square_dof: int
-
-
-def _flip_count_pmf(n_transitions: int, beta_C: float, theta: float | None) -> np.ndarray:
-    pmf = np.empty(n_transitions + 1)
-    for flips in range(n_transitions + 1):
-        comb = math.comb(n_transitions, flips)
-        if theta is not None:
-            pmf[flips] = comb * (1 - theta) ** flips * theta ** (n_transitions - flips)
-        else:
-            # prior-mixed: integrate the binomial against beta(C, C)
-            log_b = (
-                math.lgamma(flips + beta_C)
-                + math.lgamma(n_transitions - flips + beta_C)
-                - math.lgamma(n_transitions + 2 * beta_C)
-            )
-            log_b0 = 2 * math.lgamma(beta_C) - math.lgamma(2 * beta_C)
-            pmf[flips] = comb * math.exp(log_b - log_b0)
-    return pmf
-
-
-def transition_posterior_check(
-    n: int,
-    beta_C: float,
-    trials: int,
-    seed: int = 0,
-    theta: float | None = None,
-) -> TransitionCheck:
-    """Check generated chains against their advertised transition law.
-
-    Draws `trials` lag-1 chains of length n (A = 1) from :func:`generate`, one
-    chain per trial, either at a fixed theta or at a theta drawn from the
-    beta(C, C) prior per trial, and summarizes their flip statistics; see
-    :class:`TransitionCheck`.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 for at least one transition")
-    if trials < 2:
-        raise ValueError("need trials >= 2")
-    spec = AdversarySpec(AdversaryKind.SIGN_FLIP_LAG, beta_C=beta_C, bound_A=1.0, horizon_n=n, seed=seed)
-    rng = np.random.default_rng(seed)
-    stays = np.empty((trials, n - 1), dtype=bool)
-    for i in range(trials):
-        chain = generate(spec, sample_theta(beta_C, rng) if theta is None else float(theta), rng).values
-        stays[i] = chain[1:] == chain[:-1]
-    flips_per_trial = (n - 1) - stays.sum(axis=1)
-
-    flip_fraction = float(np.mean(flips_per_trial) / (n - 1))
-    expected_flip = 1.0 - float(theta) if theta is not None else 0.5
-    products_per_trial = np.mean(2.0 * stays - 1.0, axis=1)  # mean of x[t]*x[t-1] per chain
-    prod_mean = float(np.mean(products_per_trial))
-    prod_se = float(np.std(products_per_trial, ddof=1) / math.sqrt(trials))
-    prod_z = prod_mean / prod_se if prod_se > 0 else 0.0
-
-    if theta is not None:
-        expected_var = (n - 1) * theta * (1.0 - theta)
-        var_ratio = float(np.var(flips_per_trial, ddof=1) / expected_var) if expected_var > 0 else None
-    else:
-        var_ratio = None
-
-    pmf = _flip_count_pmf(n - 1, beta_C, theta)
-    expected = pmf * trials
-    observed = np.bincount(flips_per_trial.astype(int), minlength=n)[:n].astype(float)
-    # merge small-expectation bins into the tails so the Pearson statistic is sane
-    keep = expected >= 5.0
-    if not np.any(keep):
-        chi_square, dof = 0.0, 0
-    else:
-        first, last = int(np.argmax(keep)), int(len(keep) - 1 - np.argmax(keep[::-1]))
-        obs = observed[first:last + 1].copy()
-        exp = expected[first:last + 1].copy()
-        obs[0] += observed[:first].sum()
-        exp[0] += expected[:first].sum()
-        obs[-1] += observed[last + 1:].sum()
-        exp[-1] += expected[last + 1:].sum()
-        chi_square = float(np.sum((obs - exp) ** 2 / exp))
-        dof = max(len(obs) - 1, 1)
-
-    return TransitionCheck(
-        trials=trials,
-        horizon_n=n,
-        theta=theta,
-        flip_fraction=flip_fraction,
-        expected_flip_fraction=expected_flip,
-        flip_var_ratio=var_ratio,
-        lag_product_mean=prod_mean,
-        lag_product_z=prod_z,
-        chi_square=chi_square,
-        chi_square_dof=dof,
-    )

@@ -5,7 +5,7 @@ against the best fixed parameter vector chosen in hindsight and against the
 log-determinant regret certificate.
 
 Bound convention (resolved by exhaustive small-case search; frozen in tests
-via :func:`bound_convention_audit`):
+by ``bound_convention_audit`` in ``tests/oracles.py``):
 
 * both sides sum over every step t = 1..n, zero-padded startup steps included;
 * the right side is the penalized hindsight objective
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -193,47 +192,3 @@ def mixture_log_evidence(spec: FeatureSpec, seq: BoundedSequence, h: float, sigm
     if abs(explicit - algebraic) > 1e-9 * max(1.0, abs(algebraic)):
         raise FloatingPointError(f"internal evidence cross-check failed: {explicit} vs {algebraic}")
     return algebraic + h * math.log1p(sigma2 * R / h)
-
-
-def bound_convention_audit(n_max: int = 4, bound_A: float = 1.0, delta: float = 1.0) -> dict:
-    """Exhaustively compare bound conventions on all +-A sequences up to n_max.
-
-    Scalar lag-1 class.  For each sequence, evaluates the gap
-    (sequential loss) - (penalized hindsight objective + A^2 ln(1 + R/delta))
-    for the plain and for the leverage-damped prediction rule, both with all
-    steps included.  A positive gap is a bound violation.  The result freezes
-    why the damped convention is the certified one: the plain rule admits
-    violations from n = 3 on, the damped rule never does.
-    """
-    worst = {
-        "plain_worst_gap": -math.inf,
-        "plain_worst_sequence": None,
-        "damped_worst_gap": -math.inf,
-        "damped_worst_sequence": None,
-    }
-    A = float(bound_A)
-    for n in range(2, n_max + 1):
-        for signs in product((-A, A), repeat=n):
-            x = np.array(signs)
-            feats = np.concatenate([[0.0], x[:-1]])
-            R_run = 0.0
-            r_run = 0.0
-            loss_plain = 0.0
-            loss_damped = 0.0
-            for t in range(n):
-                f = feats[t]
-                pred = r_run * f / (R_run + delta)
-                leverage = f * f / (R_run + delta)
-                loss_plain += (x[t] - pred) ** 2
-                loss_damped += (x[t] - pred / (1.0 + leverage)) ** 2
-                R_run += f * f
-                r_run += x[t] * f
-            objective = float(x @ x) - (float(x @ feats)) ** 2 / (R_run + delta)
-            rhs = objective + A * A * math.log1p(R_run / delta)
-            if loss_plain - rhs > worst["plain_worst_gap"]:
-                worst["plain_worst_gap"] = loss_plain - rhs
-                worst["plain_worst_sequence"] = signs
-            if loss_damped - rhs > worst["damped_worst_gap"]:
-                worst["damped_worst_gap"] = loss_damped - rhs
-                worst["damped_worst_sequence"] = signs
-    return worst

@@ -7,7 +7,7 @@ f^T (R + dI)^{-1} f is |y|^2: forward substitution only.
 The leverage-damped prediction plain / (1 + leverage) is the Vovk-Azoury-Warmuth
 forecast r^T (R + f f^T + dI)^{-1} f, which the regret certificate in
 `batch.RegretReport` provably covers; the plain trace can overshoot it on short
-sign-flip bursts (see `batch.bound_convention_audit`).
+sign-flip bursts (the exhaustive `bound_convention_audit` in `tests/oracles.py`).
 
 Every ridge path runs on one blocked engine whose layout only this module knows:
 `_prefix_blocks` builds BLOCK_STEPS steps of statistics at a time by cumulative
@@ -32,6 +32,8 @@ from .sequences import BoundedSequence, FeatureSpec, feature_matrix
 BLOCK_STEPS = 512
 
 
+# PredictorState, init, predict and update (the per-step form) serve only tests;
+# perfbench/tracing.py TARGETS pins them by name.
 @dataclass
 class PredictorState:
     """Sufficient statistics of the online ridge predictor.
@@ -48,11 +50,6 @@ class PredictorState:
     @property
     def order_m(self) -> int:
         return self.cross_r.shape[0]
-
-    @property
-    def inv_cache(self) -> np.ndarray:
-        """(R + delta I)^{-1}, derived from the statistics on each read."""
-        return np.linalg.inv(self.gram_R + self.delta * np.eye(self.order_m))
 
 
 def init(m: int, delta: float) -> PredictorState:
@@ -276,7 +273,9 @@ def run_online(
     """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
-    delta = init(spec.order_m, delta).delta  # validates delta
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    delta = float(delta)
     x = seq.values
     raw, leverage, worst_gap = _engine_pass(feature_matrix(spec, seq), x, delta, audit=verify_dense)
     damped = raw / (1.0 + leverage)

@@ -63,15 +63,13 @@ def static_rule(weights) -> ProbRule:
     return lambda history: w
 
 
-def uniform_rule(n_constituents: int) -> ProbRule:
-    return static_rule(np.full(n_constituents, 1.0 / n_constituents))
-
-
 def _probs_at(rp: RandomizedPredictor, history: np.ndarray) -> np.ndarray:
     probs = np.asarray(rp.prob_rule(history), dtype=float)
     k = len(rp.constituents)
     if probs.shape != (k,):
         raise ValueError(f"probability rule returned shape {probs.shape}, expected ({k},)")
+    if not np.isfinite(probs).all():
+        raise ValueError("probability rule returned a weight that is not finite")
     if np.any(probs < 0):
         raise ValueError("probability rule returned a negative weight")
     if abs(float(np.sum(probs)) - 1.0) > PROB_SUM_TOL:
@@ -173,8 +171,9 @@ def mixture_account(
     per_step = np.sum(probs * (values[None, :] - preds) ** 2, axis=0)
     means = np.sum(probs * preds, axis=0)
     variances = np.sum(probs * (preds - means[None, :]) ** 2, axis=0)
-    # the mixture mean as `derandomize` forms it, one dot product of contiguous
-    # rows per step, so its loss equals the history-function route bitwise
+    # the mixture mean as the history-function `derandomize` in tests/oracles.py
+    # forms it, one dot product of contiguous rows per step, so its loss equals
+    # that route bitwise
     prob_rows, pred_rows = np.ascontiguousarray(probs.T), np.ascontiguousarray(preds.T)
     derandomized = np.array([prob_rows[t] @ pred_rows[t] for t in range(n)])
     return MixtureAccount(
@@ -186,6 +185,7 @@ def mixture_account(
     )
 
 
+# The next four functions serve only tests; perfbench/tracing.py TARGETS pins them by name.
 def mc_trial_totals(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -> np.ndarray:
     """Cumulative randomized loss of `trials` independent runs (seeded by rp.seed)."""
     return mixture_account(seq.values, *mixture_tables(rp, seq), trials, rp.seed).trial_totals
@@ -200,17 +200,6 @@ def run_randomized(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -
     """
     account = mixture_account(seq.values, *mixture_tables(rp, seq), trials, rp.seed)
     return account.mc_mean, [float(v) for v in account.per_step]
-
-
-def derandomize(rp: RandomizedPredictor) -> PredictorFn:
-    """The deterministic predictor outputting the mixture mean at every step."""
-
-    def mixture_mean(history: np.ndarray) -> float:
-        probs = _probs_at(rp, np.asarray(history, dtype=float))
-        outputs = np.array([fn(history) for fn in rp.constituents])
-        return float(probs @ outputs)
-
-    return mixture_mean
 
 
 def variance_decomposition(rp: RandomizedPredictor, seq: BoundedSequence) -> tuple[float, float]:

@@ -160,6 +160,7 @@ def normalization_constant(spec: FeatureSpec, bound_A: float) -> float:
     return max(A ** monomial_degree(mono) for mono in spec.monomials)
 
 
+# Only tests read the per-step form; perfbench/tracing.py TARGETS pins it by name.
 def features(spec: FeatureSpec, seq: BoundedSequence, t: int) -> np.ndarray:
     """Feature vector the class evaluates when predicting step t (1-based).
 

@@ -26,9 +26,7 @@ from seqregret import (
     BoundedSequence,
     RandomizedPredictor,
     batch_solve,
-    bayes_predict,
     bayes_prediction_trace,
-    derandomize,
     estimate_lower_bound,
     generate,
     linear_lag,
@@ -37,14 +35,15 @@ from seqregret import (
     regret_report,
     ridge_predictor_fn,
     run_online,
-    run_predictor_fn,
-    run_randomized,
     sample_theta,
     static_rule,
     univariate_poly,
 )
 from seqregret.cli import main as cli_main
+from seqregret.randomized import run_predictor_fn, run_randomized
 from seqregret.sequences import feature_matrix
+
+from oracles import bayes_predict, derandomize
 
 BOUND_SLACK = 1e-6
 SUITE_N_GRID = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -334,7 +333,7 @@ def test_criterion_7_derandomization_identity_and_dominance():
         rp = RandomizedPredictor(constituents, static_rule(weights), seed=i)
         _, per_step = run_randomized(rp, seq, trials=2)
         analytic = math.fsum(per_step)
-        from seqregret import variance_decomposition
+        from seqregret.randomized import variance_decomposition
 
         _, variance = variance_decomposition(rp, seq)
         derand_loss = run_predictor_fn(derandomize(rp), seq)

@@ -16,15 +16,15 @@ from seqregret import (
     AdversarySpec,
     BoundedSequence,
     batch_solve,
-    bayes_predict,
     bayes_prediction_trace,
     estimate_lower_bound,
     generate,
     linear_lag,
     sample_theta,
-    transition_posterior_check,
     univariate_poly,
 )
+
+from oracles import bayes_predict, transition_posterior_check
 
 
 def lag_spec(**kw):

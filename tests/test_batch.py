@@ -9,7 +9,6 @@ from seqregret import (
     BoundedSequence,
     RegretReport,
     batch_solve,
-    bound_convention_audit,
     gram_log_det_ratio,
     linear_lag,
     mixture_log_evidence,
@@ -20,6 +19,8 @@ from seqregret import (
     univariate_poly,
 )
 from seqregret.sequences import feature_matrix
+
+from oracles import bound_convention_audit
 
 
 def grid_min_objective(F, x, delta, lo=-3.0, hi=3.0, step=0.01):

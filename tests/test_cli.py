@@ -1,5 +1,6 @@
 """Command-line behavior: parsing, exit codes, files, and deterministic outputs."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -233,6 +234,40 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert run_cli("regret", "--config", str(cfg)) == 2
 
 
+@pytest.mark.parametrize("nested", ["missing", "real"])
+def test_config_key_naming_another_config_is_refused(nested, tmp_path, capsys):
+    # a nested file used to be accepted and never read: a missing one exited 0, a real one's n=16 was ignored
+    inner = tmp_path / "inner.cfg"
+    if nested == "real":
+        inner.write_text("n=16\n")
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text(f"family=zero\nconfig={inner}\n")
+    assert run_cli("regret", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config key 'config'" in captured.err
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run_cli("lowerbound", "--seed", "1", "--n", "16", "--trials", "4", "--C", "2") == 0
+    first = len(added)
+    # the shared parser dispatches by name, so a command rebound after it was built still runs
+    calls = record_calls(monkeypatch, "cmd_regret")
+    # a prior given to the first command must not read as given to the second, which refuses it
+    assert run_cli("regret", "--family", "sinusoid", "--n", "16") == 0
+    assert len(added) == first
+    assert len(calls) == 1
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "spec", [linear_lag(1, 3), monomial_features([{1: 1}, {1: 1, 2: 1}])], ids=["linear", "monomial"]
 )
@@ -456,6 +491,7 @@ REGRET_SVG = ("regret", "--family", "adversarial", "--seed", "4", "--n", "700", 
 
 def test_regret_svg_charts_the_run_it_already_made(tmp_path, monkeypatch):
     ns = cli.build_parser().parse_args(list(REGRET_SVG))
+    ns.C = 1.0  # the prior `main` resolves when --C is not given
     spec, seq = cli.build_feature_spec(ns), cli.build_sequence(ns)
     fresh = run_online(spec, seq, ns.delta)
     # the chosen run overshoots [-A, A], so --clip changes the run regret reports

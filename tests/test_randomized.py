@@ -12,25 +12,28 @@ from seqregret import (
     BoundedSequence,
     RandomizedPredictor,
     batch_solve,
-    derandomize,
-    extended_csv_row,
     linear_lag,
-    mc_trial_totals,
     monomial_features,
     mixture_tables,
     regret_report,
     ridge_predictor_fn,
     run_online,
-    run_predictor_fn,
-    run_randomized,
     simple_envelope,
     static_rule,
-    uniform_rule,
     univariate_poly,
-    variance_decomposition,
 )
 from seqregret.cli import identity_mixture
-from seqregret.randomized import EXTENDED_CSV_COLUMNS, mixture_account
+from seqregret.randomized import (
+    EXTENDED_CSV_COLUMNS,
+    extended_csv_row,
+    mc_trial_totals,
+    mixture_account,
+    run_predictor_fn,
+    run_randomized,
+    variance_decomposition,
+)
+
+from oracles import derandomize, uniform_rule
 
 
 def constant(c):
@@ -67,6 +70,17 @@ def test_probability_rule_validation():
     off_sum = RandomizedPredictor((constant(0.0), constant(1.0)), static_rule([0.6, 0.6]))
     with pytest.raises(ValueError, match="sum to 1"):
         mixture_tables(off_sum, seq)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0], [np.inf, -np.inf]])
+def test_probability_rule_refuses_weights_that_are_not_finite(weights):
+    # every comparison with NaN is False, so [nan, nan] used to pass both checks and split as (nan, nan)
+    seq = pm1_sequence(1, 5)
+    rp = RandomizedPredictor((constant(0.0), constant(1.0)), static_rule(weights))
+    with pytest.raises(ValueError, match="not finite"):
+        variance_decomposition(rp, seq)
+    with pytest.raises(ValueError, match="not finite"):
+        mixture_tables(rp, seq)
 
 
 def test_probability_rule_checked_at_every_step():

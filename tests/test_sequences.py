@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from seqregret import (
     BoundedSequence,
-    ClassKind,
     FeatureSpec,
     feature_matrix,
-    features,
     linear_lag,
     monomial_features,
     normalization_constant,
     univariate_poly,
 )
+from seqregret.sequences import ClassKind, features
 
 
 def bounded_values(max_n=24):
