@@ -11,7 +11,7 @@ compare     universal ridge vs LMS vs RLS (vs the Bayes reference on
 identity    evidence-identity and randomized/derandomized accounting checks.
 
 Exit codes: 0 = success and all checks passed; 1 = a check failed;
-2 = usage, config, or input-parse error.
+2 = usage, config, or input-parse error, or an array too large to allocate.
 
 Every command is deterministic given its full configuration (seed included):
 CSV and SVG outputs are byte-identical across repeat runs.
@@ -36,15 +36,7 @@ from .adversary import (
 )
 from .batch import batch_solve, mixture_log_evidence, regret_report, RegretReport
 from .predictors import OnlineRunResult, run_lms, run_online, run_rls
-from .randomized import (
-    EXTENDED_CSV_COLUMNS,
-    RandomizedPredictor,
-    _probs_at,
-    extended_csv_row,
-    mixture_account,
-    ridge_predictor_fn,
-    static_rule,
-)
+from .randomized import mixture_account
 from .sequences import (
     BoundedSequence,
     FeatureSpec,
@@ -295,6 +287,17 @@ def cmd_lowerbound(ns: argparse.Namespace) -> int:
 
 
 COMPARE_COLUMNS = ("algo", "n", "m", "class", "delta", "loss", "batch_raw", "regret")
+EXTENDED_CSV_COLUMNS = (
+    "n", "m", "class", "delta", "seq_loss", "batch_ridge",
+    "batch_raw", "regret", "det_bound", "simple_bound",
+    "p_rand_mc", "p_rand_analytic", "variance_total",
+)
+
+
+def extended_csv_row(report: RegretReport, p_rand_mc: float, p_rand_analytic: float,
+                     variance_total: float) -> list[str]:
+    """identity's row: the RegretReport row plus the randomized-account columns."""
+    return report.csv_row() + [repr(float(p_rand_mc)), repr(float(p_rand_analytic)), repr(float(variance_total))]
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
@@ -378,31 +381,26 @@ def evidence_quadrature(spec: FeatureSpec, seq: BoundedSequence, h: float, sigma
 IDENTITY_WEIGHTS = (0.5, 0.3, 0.2)
 
 
-def identity_mixture(
-    spec: FeatureSpec, seq: BoundedSequence, delta: float, seed: int, run: OnlineRunResult
-) -> tuple[RandomizedPredictor, np.ndarray, np.ndarray]:
-    """identity's mixture of certified predictors and its (3, n) prediction and weight tables.
+def identity_tables(
+    spec: FeatureSpec, seq: BoundedSequence, delta: float, run: OnlineRunResult
+) -> tuple[np.ndarray, np.ndarray]:
+    """identity's (3, n) prediction and weight tables of its mixture of certified predictors.
 
     The constituents are the damped ridge predictor at delta, the same clipped
-    to [-A, A], and the damped predictor at 2 delta.  Their rows come from `run`
-    (the caller's `run_online` at delta; a clip moves only its plain trace) and a
-    run at 2 delta, and equal the per-prefix `mixture_tables(rp, seq)` bitwise:
-    engine blocks start at fixed offsets and every step is solved on its own.
+    to [-A, A], and the damped predictor at 2 delta, weighted IDENTITY_WEIGHTS at
+    every step.  Their rows come from `run` (the caller's `run_online` at delta;
+    a clip moves only its plain trace) and a run at 2 delta.  Engine blocks start
+    at fixed offsets and every step is solved on its own, so each row equals the
+    predictor called on every prefix bitwise (held by tests/test_randomized.py).
     """
-    constituents = (
-        ridge_predictor_fn(spec, delta, damped=True),
-        ridge_predictor_fn(spec, delta, damped=True, clip_to=seq.bound_A),
-        ridge_predictor_fn(spec, 2.0 * delta, damped=True),
-    )
-    rp = RandomizedPredictor(constituents, static_rule(IDENTITY_WEIGHTS), seed=seed)
     damped = run.damped_predictions
     preds = np.stack([
         damped,
         np.clip(damped, -seq.bound_A, seq.bound_A),
         run_online(spec, seq, 2.0 * delta).damped_predictions,
     ])
-    probs = np.broadcast_to(_probs_at(rp, seq.values[:0])[:, None], preds.shape)
-    return rp, preds, probs
+    probs = np.broadcast_to(np.array(IDENTITY_WEIGHTS)[:, None], preds.shape)
+    return preds, probs
 
 
 def cmd_identity(ns: argparse.Namespace) -> int:
@@ -423,14 +421,8 @@ def cmd_identity(ns: argparse.Namespace) -> int:
 
     # randomized mixture of certified predictors vs its derandomization
     run = run_online(spec, seq, ns.delta, clip=ns.clip)
-    rp, preds, probs = identity_mixture(spec, seq, ns.delta, ns.seed, run)
-    # the table stands in for per-prefix calls: hold it to the history functions at a few steps
-    values = seq.values
-    for t in sorted({0, len(seq) // 2, len(seq) - 1}):
-        direct = [float(fn(values[:t])) for fn in rp.constituents]
-        if not np.array_equal(direct, preds[:, t]):
-            failures.append(f"engine prediction table differs from the constituents at step {t}")
-    account = mixture_account(values, preds, probs, ns.trials, rp.seed)
+    preds, probs = identity_tables(spec, seq, ns.delta, run)
+    account = mixture_account(seq.values, preds, probs, ns.trials, ns.seed)
     p_rand_mc = account.mc_mean
     p_rand_analytic = float(math.fsum(account.per_step))
     variance_total = account.variance
@@ -580,6 +572,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{ns.command} is stochastic here; --seed is required")
         if ns.seed is None:
             ns.seed = 0
+        if not 0 <= ns.seed < 2 ** 64:
+            raise ValueError("seed must fit in 64 unsigned bits")
         if ns.C is not None and not _prior_read(ns):
             source = f"--input {ns.input}" if ns.input is not None else f"--family {ns.family}"
             raise ValueError(
@@ -593,7 +587,8 @@ def main(argv: list[str] | None = None) -> int:
         return globals()[f"cmd_{ns.command}"](ns)
     except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)
-    except (InputFileError, ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (InputFileError, ValueError, FloatingPointError, OverflowError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

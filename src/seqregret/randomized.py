@@ -18,8 +18,9 @@ the derandomized loss.  `mixture_tables` fills the tables by calling every
 constituent on every prefix, which costs O(n) calls of O(n) each for ridge
 constituents; a caller that knows its constituents can fill them in linear
 time instead (`identity` reads its ridge rows from whole-sequence `run_online`
-runs, bitwise equal to `ridge_predictor_fn`, the history-function form that
-runs `run_online` on each history, and spot-checks them against it).
+runs, which the tests hold bitwise equal on every prefix to
+`ridge_predictor_fn`, the history-function form that runs `run_online` on each
+history).
 """
 
 from __future__ import annotations
@@ -185,7 +186,10 @@ def mixture_account(
     )
 
 
-# The next four functions serve only tests; perfbench/tracing.py TARGETS pins them by name.
+# Within the repository only tests and the benchmark use the history-function layer:
+# PredictorFn, ProbRule, RandomizedPredictor, static_rule, _probs_at, mixture_tables,
+# ridge_predictor_fn and the next four functions.  perfbench/tracing.py TARGETS pins mixture_tables,
+# ridge_predictor_fn and these four by name, so they stay here.
 def mc_trial_totals(rp: RandomizedPredictor, seq: BoundedSequence, trials: int) -> np.ndarray:
     """Cumulative randomized loss of `trials` independent runs (seeded by rp.seed)."""
     return mixture_account(seq.values, *mixture_tables(rp, seq), trials, rp.seed).trial_totals
@@ -245,15 +249,3 @@ def ridge_predictor_fn(
         return out
 
     return predict_next
-
-
-EXTENDED_CSV_COLUMNS = (
-    "n", "m", "class", "delta", "seq_loss", "batch_ridge",
-    "batch_raw", "regret", "det_bound", "simple_bound",
-    "p_rand_mc", "p_rand_analytic", "variance_total",
-)
-
-
-def extended_csv_row(report, p_rand_mc: float, p_rand_analytic: float, variance_total: float) -> list[str]:
-    """RegretReport row plus the randomized-account columns."""
-    return report.csv_row() + [repr(float(p_rand_mc)), repr(float(p_rand_analytic)), repr(float(variance_total))]

@@ -97,5 +97,8 @@ def test_traced_identity_runs_the_evidence_quadrature_once(traced_main):
     assert out.splitlines()[-1].count(",") == out.splitlines()[-2].count(",")  # header and CSV row
     assert len(span_work(rec, "cli.evidence_quadrature")) == 1
     assert len(span_work(rec, "cli.cmd_identity")) == 1
+    # the mixture's table comes from the run at delta and one at 2 delta; no history function runs
+    assert span_work(rec, "predictors.run_online") == [128, 128]
+    assert "randomized.constituent" not in rec.names
     metrics = tracing.layer_metrics(rec, 1.0, 128)
     assert np.isfinite(list(metrics.values())).all()

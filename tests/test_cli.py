@@ -24,6 +24,7 @@ from seqregret import (
 )
 from seqregret.batch import RegretReport
 from seqregret.cli import (
+    EXTENDED_CSV_COLUMNS,
     InputFileError,
     bound_trace,
     default_monomials,
@@ -32,7 +33,6 @@ from seqregret.cli import (
     read_config_file,
     read_sequence_file,
 )
-from seqregret.randomized import EXTENDED_CSV_COLUMNS
 
 
 def run_cli(*args):
@@ -177,6 +177,45 @@ def test_stochastic_runs_require_a_seed(args, capsys):
 def test_deterministic_families_do_not_need_a_seed():
     assert run_cli("regret", "--family", "sinusoid", "--n", "8") == 0
     assert run_cli("regret", "--family", "zero", "--n", "8") == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("regret", "--family", "walk", "--n", "16"),
+        ("lowerbound", "--n", "16", "--trials", "4"),
+        ("compare", "--family", "adversarial", "--n", "16"),
+        ("identity", "--family", "walk", "--n", "16", "--trials", "4"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_command_refuses_a_seed_outside_64_unsigned_bits(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for seed in (2 ** 64, -1):
+        assert run_cli(*args, f"--seed={seed}", "--out", str(out)) == 2
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli(*args, f"--seed={2 ** 64 - 1}", "--out", str(out)) == 0, capsys.readouterr().err
+    assert out.exists()
+
+
+HUGE = str(10 ** 17)  # 711 PiB of float64: beyond any 64-bit user address space, so nothing is allocated
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("identity", "--family", "walk", "--seed", "1", "--n", "16", "--trials", HUGE),
+        ("lowerbound", "--seed", "1", "--n", "16", "--trials", HUGE),
+        ("regret", "--n", HUGE),
+        ("compare", "--n", HUGE),
+    ],
+    ids=lambda args: args[0],
+)
+def test_an_allocation_that_fails_exits_2_with_a_message(args, capsys):
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
 
 
 # -------------------------------------------------------------- config files
@@ -561,21 +600,6 @@ def test_identity_on_adversarial_data(tmp_path, capsys):
         "--trials", "40", "--class", "univar", "--out", str(out),
     )
     assert code == 0, capsys.readouterr().err
-
-
-def test_identity_spot_check_catches_a_wrong_table(tmp_path, monkeypatch, capsys):
-    real = cli.identity_mixture
-
-    def skewed(*args):
-        rp, preds, probs = real(*args)
-        preds = preds.copy()
-        preds[1, 32] += 1e-9
-        return rp, preds, probs
-
-    monkeypatch.setattr(cli, "identity_mixture", skewed)
-    code = run_cli("identity", "--family", "walk", "--seed", "2", "--n", "64", "--out", str(tmp_path / "id.csv"))
-    assert code == 1
-    assert "engine prediction table differs from the constituents at step 32" in capsys.readouterr().err
 
 
 def evidence_quadrature_loop(spec, seq, h, sigma2):

@@ -22,10 +22,14 @@ from seqregret import (
     static_rule,
     univariate_poly,
 )
-from seqregret.cli import identity_mixture
-from seqregret.randomized import (
+from seqregret.cli import (
     EXTENDED_CSV_COLUMNS,
+    IDENTITY_WEIGHTS,
+    default_monomials,
     extended_csv_row,
+    identity_tables,
+)
+from seqregret.randomized import (
     mc_trial_totals,
     mixture_account,
     run_predictor_fn,
@@ -281,17 +285,64 @@ def test_engine_rows_equal_the_history_functions_on_every_prefix(spec):
     )
 
 
+def identity_reference(spec, seq, delta, seed=0):
+    """identity's mixture as history functions: the three ridge predictors it names, at its weights."""
+    constituents = (
+        ridge_predictor_fn(spec, delta, damped=True),
+        ridge_predictor_fn(spec, delta, damped=True, clip_to=seq.bound_A),
+        ridge_predictor_fn(spec, 2.0 * delta, damped=True),
+    )
+    return RandomizedPredictor(constituents, static_rule(IDENTITY_WEIGHTS), seed=seed)
+
+
+def assert_identity_tables_are_the_per_prefix_tables(spec, seq, delta, clip):
+    preds, probs = identity_tables(spec, seq, delta, run_online(spec, seq, delta, clip=clip))
+    ref_preds, ref_probs = mixture_tables(identity_reference(spec, seq, delta), seq)
+    assert preds.tobytes() == ref_preds.tobytes()
+    assert probs.tobytes() == ref_probs.tobytes()
+
+
 def test_identity_tables_equal_the_per_prefix_tables():
-    seq, spec = walk_sequence(32), linear_lag(1, 3)
-    rp, preds, probs = identity_mixture(spec, seq, 0.5, 9, run_online(spec, seq, 0.5))
-    ref_preds, ref_probs = mixture_tables(rp, seq)
-    np.testing.assert_array_equal(preds, ref_preds)
-    np.testing.assert_array_equal(probs, ref_probs)
+    assert_identity_tables_are_the_per_prefix_tables(linear_lag(1, 3), walk_sequence(32), 0.5, clip=False)
+
+
+IDENTITY_CLASSES = {
+    "linear": lambda m: linear_lag(1, m),
+    "univar": univariate_poly,
+    "monomial": lambda m: monomial_features(default_monomials(m)),
+}
+
+
+@st.composite
+def identity_sequences(draw):
+    """A walk, a two-valued +-A sequence or the all-zero sequence, of length 1..80."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["walk", "two-valued", "zero"]))
+    if family == "zero":
+        return BoundedSequence(np.zeros(n), 0.0)
+    A = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    if family == "two-valued":
+        return BoundedSequence(np.where(rng.random(n) < 0.5, A, -A), A)
+    return BoundedSequence(np.clip(np.cumsum(rng.normal(0.0, A / 8.0, n)), -A, A), A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    klass=st.sampled_from(sorted(IDENTITY_CLASSES)),
+    m=st.integers(1, 3),
+    delta=st.floats(1e-3, 10.0),
+    seq=identity_sequences(),
+    clip=st.booleans(),
+)
+def test_identity_tables_are_the_per_prefix_tables_property(klass, m, delta, seq, clip):
+    assert_identity_tables_are_the_per_prefix_tables(IDENTITY_CLASSES[klass](m), seq, delta, clip)
 
 
 def test_table_account_equals_the_history_function_route():
     seq, spec = walk_sequence(33), univariate_poly(2)
-    rp, preds, probs = identity_mixture(spec, seq, 1.0, 4, run_online(spec, seq, 1.0))
+    rp = identity_reference(spec, seq, 1.0, seed=4)
+    preds, probs = identity_tables(spec, seq, 1.0, run_online(spec, seq, 1.0))
     account = mixture_account(seq.values, preds, probs, trials=60, seed=rp.seed)
     mc, per_step = run_randomized(rp, seq, trials=60)
     assert account.mc_mean == mc
